@@ -469,7 +469,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="default: computed uniform subgradient bound")
     bench.add_argument("--jobs", type=int, default=1)
     bench.add_argument("--out", default=None, help="summary CSV path")
-    bench.add_argument("--no-timestamp", action="store_true")
     bench.set_defaults(func=cmd_benchmark)
 
     val = sub.add_parser("validate", help="statistical and analytic property suites")

@@ -9,11 +9,13 @@ cost. ``LinearObjective`` is ``<c, x>`` with a constant gradient.
 ``MaxLinearConstraint`` is a pointwise maximum of affine forms evaluated
 exactly; it is stored as sparse directions plus scalar offsets so the raw
 sparsity of the data survives the feasibility shift applied by instance
-generators.
+generators. One evaluation yields both the value and the active term, whose
+precomputed dense direction is the constraint subgradient.
 
-Oracles are immutable after construction. Randomness is confined to
-``RngStream`` objects owned by each solver run, so concurrent runs with
-distinct streams never interact.
+Oracles return plain arrays and check their data once, at construction:
+finite data yields finite samples. They are immutable after construction.
+Randomness is confined to ``RngStream`` objects owned by each solver run,
+so concurrent runs with distinct streams never interact.
 """
 
 from __future__ import annotations
@@ -23,10 +25,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import FEASIBILITY_TOL
-
-OBJECTIVE = "objective"
-CONSTRAINT = "constraint"
-
 
 @dataclass
 class RngStream:
@@ -48,22 +46,9 @@ class RngStream:
         return self._gen.random(size=size)
 
 
-@dataclass(frozen=True)
-class OracleSample:
-    """One oracle reply: a subgradient sample and which function it is for."""
-
-    gradient: np.ndarray
-    which: str
-
-    def __post_init__(self):
-        if self.which not in (OBJECTIVE, CONSTRAINT):
-            raise ValueError(f"unknown sample kind {self.which!r}")
-        if not np.isfinite(self.gradient).all():
-            raise ValueError("oracle sample has non-finite components")
-
-
 def _as_distribution(x) -> np.ndarray:
-    """Clip round-off negatives to zero and renormalize to a distribution."""
+    """Clip round-off negatives to zero, without renormalizing: callers
+    scale their uniform draw by the total mass ``cdf[-1]`` instead."""
     x = np.asarray(x, dtype=float)
     if (x < -FEASIBILITY_TOL).any():
         raise ValueError("point has negative coordinates beyond the feasibility tolerance")
@@ -173,9 +158,11 @@ class MaxLinearConstraint:
     Directions are stored sparsely as (indices, values) pairs with the
     scalar offsets kept separate. The dense direction associated with term
     m is ``c_m - b_m * ones``; on the simplex it induces the same function
-    values and prox updates as the sparse pair, and it is the vector whose
-    dual norm the solver records. Argmax ties break to the smallest index
-    so traces are reproducible (any maximizer is a valid subgradient).
+    values as the sparse pair, and it is the subgradient the solver applies
+    and whose dual norm it records. The dense directions are precomputed
+    and read-only, so callers may hold rows without copying. Argmax ties
+    break to the smallest index so traces are reproducible (any maximizer
+    is a valid subgradient).
 
     Evaluation is exact and deterministic: this oracle is the zero-noise
     special case of the sampling contract.
@@ -208,10 +195,14 @@ class MaxLinearConstraint:
         self.terms = terms
         self.offsets = offs
         dense = np.zeros((offs.size, dimension))
-        for m, (idx, val) in enumerate(terms):
-            np.add.at(dense[m], idx, val)
-        dense -= offs[:, None]
-        self._dense = dense
+        with np.errstate(over="ignore"):
+            for m, (idx, val) in enumerate(terms):
+                np.add.at(dense[m], idx, val)
+            dense -= offs[:, None]
+        if not np.isfinite(dense).all():
+            raise ValueError("shifted directions c_m - b_m overflow")
+        dense.flags.writeable = False
+        self.directions = dense
 
     @property
     def count(self) -> int:
@@ -230,8 +221,15 @@ class MaxLinearConstraint:
             [float(np.dot(val, x[idx])) for idx, val in self.terms]
         ) - self.offsets
 
+    def value_and_argmax(self, x) -> tuple[float, int]:
+        """Value at x and the index of the active term, from one evaluation;
+        ties resolve to the smallest index."""
+        vals = self.values(x)
+        m = int(np.argmax(vals))
+        return float(vals[m]), m
+
     def value(self, x) -> float:
-        return float(self.values(x).max())
+        return self.value_and_argmax(x)[0]
 
     def value_batch(self, points: np.ndarray) -> np.ndarray:
         out = np.full(points.shape[0], -np.inf)
@@ -242,23 +240,11 @@ class MaxLinearConstraint:
 
     def argmax_term(self, x) -> int:
         """Index of the active term; ties resolve to the smallest index."""
-        return int(np.argmax(self.values(x)))
+        return self.value_and_argmax(x)[1]
 
     def subgradient(self, x) -> np.ndarray:
         """Dense subgradient: the shifted direction of the active term."""
-        return self._dense[self.argmax_term(x)].copy()
-
-    def sparse_subgradient(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """Sparse (indices, values) of the active term, without the offset
-        shift. On the simplex the shift is a multiple of the all-ones
-        vector, which prox updates ignore, so applying this pair reproduces
-        the dense subgradient's update."""
-        idx, val = self.terms[self.argmax_term(x)]
-        return idx.copy(), val.copy()
-
-    def dense_directions(self) -> np.ndarray:
-        """All shifted directions ``c_m - b_m * ones`` as rows."""
-        return self._dense.copy()
+        return self.directions[self.argmax_term(x)].copy()
 
 
 @dataclass(frozen=True)

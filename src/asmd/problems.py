@@ -21,15 +21,7 @@ import numpy as np
 
 from . import geometry as geom_mod
 from .geometry import Geometry, dual_norm, on_simplex
-from .oracle import (
-    CONSTRAINT,
-    OBJECTIVE,
-    LinearObjective,
-    MaxLinearConstraint,
-    OracleSample,
-    QuadraticObjective,
-    RngStream,
-)
+from .oracle import LinearObjective, MaxLinearConstraint, QuadraticObjective, RngStream
 from .serialize import atomic_write_text, canonical_json
 
 GEOMETRY_KINDS = ("entropy", "euclidean")
@@ -108,22 +100,13 @@ class ProblemInstance:
     def objective_value(self, x) -> float:
         return self.objective.value(x)
 
-    def objective_gradient(self, x) -> np.ndarray:
-        return self.objective.gradient(x)
-
-    def objective_sample(self, x, rng: RngStream) -> OracleSample:
+    def objective_sample(self, x, rng: RngStream) -> np.ndarray:
         if self.oracle_mode == "column":
-            return OracleSample(self.objective.column_sample(x, rng), OBJECTIVE)
-        return OracleSample(self.objective.gradient(x), OBJECTIVE)
+            return self.objective.column_sample(x, rng)
+        return self.objective.gradient(x)
 
     def constraint_value(self, x) -> float:
         return self.constraint.value(x)
-
-    def constraint_sample(self, x) -> OracleSample:
-        return OracleSample(self.constraint.subgradient(x), CONSTRAINT)
-
-    def constraint_sparse_subgradient(self, x) -> tuple[np.ndarray, np.ndarray]:
-        return self.constraint.sparse_subgradient(x)
 
 
 def generate_instance(
@@ -383,5 +366,5 @@ def uniform_subgradient_bound(p: ProblemInstance) -> float:
         obj = max(dual_norm(geom, col) for col in p.objective.matrix.T)
     else:
         obj = dual_norm(geom, p.objective.coefficients)
-    con = max(dual_norm(geom, row) for row in p.constraint.dense_directions())
+    con = max(dual_norm(geom, row) for row in p.constraint.directions)
     return max(obj, con)

@@ -27,7 +27,6 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .geometry import (
-    ENTROPY_SIMPLEX,
     Geometry,
     bregman,
     dgf_minimizer,
@@ -115,11 +114,9 @@ class RunResult:
 class StepState:
     """Everything observable about one iteration, for diagnostics.
 
-    ``gradient`` is the dense sample whose dual norm was recorded; for
-    non-productive entropy steps the update itself may have applied the
-    sparse constraint term, which produces the same next iterate.
-    ``stopped`` marks the iteration at which the variant's stopping rule
-    fired.
+    ``gradient`` is the sample the step applied and whose dual norm it
+    recorded. ``stopped`` marks the iteration at which the variant's
+    stopping rule fired.
     """
 
     k: int
@@ -135,15 +132,14 @@ class StepState:
     stopped: bool
 
 
-def step_size(radius: float, m_history: Sequence[float]) -> float:
-    """Adaptive stepsize: radius over the root of the accumulated squared
-    sample norms. Raises when the accumulation is still zero (degenerate
-    gradients); callers stop instead, since the stopping rule is already
-    satisfied then."""
-    total = float(np.sum(np.square(np.asarray(m_history, dtype=float))))
-    if total <= 0.0:
+def step_size(radius: float, sum_m_sq: float) -> float:
+    """Adaptive stepsize: radius over the root of the running sum of squared
+    sample norms. Raises when the sum is still zero (degenerate gradients);
+    callers stop instead, since the stopping rule is already satisfied
+    then."""
+    if sum_m_sq <= 0.0:
         raise ZeroDivisionError("all sample norms so far are zero")
-    return radius / math.sqrt(total)
+    return radius / math.sqrt(sum_m_sq)
 
 
 def stopping_criterion(radius: float, k: int, sum_m_sq: float, epsilon: float) -> bool:
@@ -177,7 +173,6 @@ def mirror_descent_steps(problem: ProblemInstance, config: SolverConfig) -> Iter
     radius = geom.radius
     rng = RngStream(config.seed)
     x = dgf_minimizer(geom)
-    entropy = geom.kind == ENTROPY_SIMPLEX
     if config.variant == FIXED:
         bound = float(config.fixed_M)
         budget = worst_case_iterations(bound, radius, config.epsilon, FIXED)
@@ -187,26 +182,19 @@ def mirror_descent_steps(problem: ProblemInstance, config: SolverConfig) -> Iter
     k = 0
     while True:
         k += 1
-        g_value = problem.constraint_value(x)
+        g_value, active = problem.constraint.value_and_argmax(x)
         productive = g_value <= config.epsilon
         if productive:
-            sample = problem.objective_sample(x, rng)
+            gradient = problem.objective_sample(x, rng)
         else:
-            sample = problem.constraint_sample(x)
-        m_k = dual_norm(geom, sample.gradient)
+            gradient = problem.constraint.directions[active]
+        m_k = dual_norm(geom, gradient)
         sum_m_sq += m_k * m_k
         m_max = max(m_max, m_k)
-        applied = sample.gradient
-        if not productive and entropy:
-            # the offset shift is a multiple of the all-ones vector, which
-            # the entropy prox ignores; apply the sparse term instead
-            idx, val = problem.constraint_sparse_subgradient(x)
-            applied = np.zeros(geom.dimension)
-            applied[idx] = val
         if config.variant == ADAPTIVE:
             if sum_m_sq > 0.0:
-                h = radius / math.sqrt(sum_m_sq)
-                x_next = prox_map(geom, x, h * applied)
+                h = step_size(radius, sum_m_sq)
+                x_next = prox_map(geom, x, h * gradient)
             else:
                 # degenerate: every sample so far was zero, so the stopping
                 # rule below fires and the iterate never moves
@@ -215,7 +203,7 @@ def mirror_descent_steps(problem: ProblemInstance, config: SolverConfig) -> Iter
             stopped = stopping_criterion(radius, k, sum_m_sq, config.epsilon)
         else:
             h = h_fixed
-            x_next = prox_map(geom, x, h * applied)
+            x_next = prox_map(geom, x, h * gradient)
             stopped = k >= budget
         yield StepState(
             k=k,
@@ -223,7 +211,7 @@ def mirror_descent_steps(problem: ProblemInstance, config: SolverConfig) -> Iter
             productive=productive,
             g_value=g_value,
             f_value=problem.objective_value(x),
-            gradient=sample.gradient,
+            gradient=gradient,
             M=m_k,
             h=h,
             x_next=x_next,

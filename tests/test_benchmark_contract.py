@@ -1,0 +1,47 @@
+"""The library calls that ``perfbench/workloads.py`` makes, scaled down to n = 6.
+
+The benchmark calls ``solver.solve_adaptive`` and ``cli.run_benchmark``
+directly. If one of them changed its signature or behaviour, the
+benchmark would only report failed solves, so the same calls are made
+here.
+"""
+
+import dataclasses
+
+import pytest
+
+from asmd import cli, problems, solver
+from asmd.geometry import on_simplex
+
+EPSILON = 0.1
+
+
+@pytest.mark.parametrize("geometry", ["entropy", "euclidean"])
+@pytest.mark.parametrize("mode", ["exact", "column"])
+def test_solve_adaptive_calls(geometry, mode):
+    problem = problems.generate_instance(
+        n=6, m_count=10, density=0.1, seed=7, geometry=geometry, oracle=mode)
+    for seed in (0, 1):
+        config = solver.SolverConfig(epsilon=EPSILON, seed=seed, record_trace=False)
+        result = solver.solve_adaptive(problem, config)
+        assert result.stop_reason == solver.CRITERION_MET
+        assert result.trace == []
+        assert on_simplex(result.x_bar)
+        assert problem.constraint_value(result.x_bar) <= EPSILON
+    warm_up = solver.SolverConfig(
+        epsilon=EPSILON, seed=0, max_iterations=100, record_trace=False)
+    assert solver.solve_adaptive(problem, warm_up).N <= 100
+
+
+def test_run_benchmark_call():
+    base = problems.generate_instance(n=6, m_count=10, density=0.1, seed=7)
+    for problem in (base, dataclasses.replace(base, oracle_mode="column")):
+        rows = cli.run_benchmark(
+            problem, EPSILON, 1, ["adaptive", "fixed"], ["exact", "column"],
+            base_seed=3, jobs=1)
+        assert len(rows) == 4
+        for row in rows:
+            assert row.status == "ok"
+            assert row.seeds_run == 1
+            assert row.within_bound is not False
+            assert row.mean_g_value <= EPSILON

@@ -4,12 +4,17 @@ import pytest
 from asmd.oracle import (
     LinearObjective,
     MaxLinearConstraint,
-    OracleSample,
     QuadraticObjective,
     RngStream,
     sample_simplex_index,
     sample_simplex_indices,
     unbiasedness_report,
+)
+from asmd.problems import (
+    InstanceValidationError,
+    generate_instance,
+    problem_from_document,
+    problem_to_document,
 )
 
 
@@ -206,18 +211,6 @@ class TestMaxLinearConstraint:
             lower = c.value(x) + float(c.subgradient(x) @ (y - x))
             assert c.value(y) >= lower - 1e-10
 
-    def test_sparse_term_matches_dense_on_simplex(self):
-        c = MaxLinearConstraint([([1, 3], [2.0, -1.0])], [0.7], 4)
-        rng = np.random.default_rng(17)
-        for x in rng.dirichlet(np.ones(4), size=100):
-            idx, val = c.sparse_subgradient(x)
-            sparse_applied = np.zeros(4)
-            sparse_applied[idx] = val
-            dense = c.subgradient(x)
-            # on the simplex the two differ by a multiple of the ones vector
-            diff = sparse_applied - dense
-            assert np.abs(diff - diff[0]).max() < 1e-15
-
     def test_validation(self):
         with pytest.raises(ValueError):
             MaxLinearConstraint([([0], [1.0, 2.0])], [0.0], 2)
@@ -227,10 +220,10 @@ class TestMaxLinearConstraint:
             MaxLinearConstraint([([0], [1.0])], [0.0, 1.0], 2)
         with pytest.raises(ValueError):
             MaxLinearConstraint([], [], 2)
-
-
-def test_oracle_sample_validation():
-    with pytest.raises(ValueError):
-        OracleSample(np.array([np.inf]), "objective")
-    with pytest.raises(ValueError):
-        OracleSample(np.array([1.0]), "hessian")
+        # finite data whose shifted direction c_m - b_m overflows
+        with pytest.raises(ValueError, match="overflow"):
+            MaxLinearConstraint([([0], [1e308])], [-1e308], 2)
+        doc = problem_to_document(generate_instance(2, m_count=1, seed=0))
+        doc["constraints"] = {"sparse": [{"indices": [0], "values": [1e308]}], "offsets": [-1e308]}
+        with pytest.raises(InstanceValidationError, match="overflow"):
+            problem_from_document(doc)

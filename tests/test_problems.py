@@ -4,7 +4,6 @@ import json
 import numpy as np
 import pytest
 
-from asmd.geometry import entropy_simplex, prox_map
 from asmd.oracle import LinearObjective, MaxLinearConstraint, QuadraticObjective
 from asmd.problems import (
     InstanceFormatError,
@@ -77,23 +76,6 @@ class TestGeneration:
             generate_instance(4, density=0.0)
         with pytest.raises(ValueError):
             generate_instance(4, margin=0.0)
-
-    def test_sparse_application_matches_dense_in_entropy_prox(self):
-        p = generate_instance(15, m_count=6, density=0.2, seed=21)
-        geom = entropy_simplex(15)
-        rng = np.random.default_rng(22)
-        for _ in range(50):
-            x = rng.dirichlet(np.ones(15))
-            if p.constraint_value(x) <= 0:
-                continue
-            dense = p.constraint.subgradient(x)
-            idx, val = p.constraint.sparse_subgradient(x)
-            sparse = np.zeros(15)
-            sparse[idx] = val
-            h = rng.uniform(0.01, 2.0)
-            u_dense = prox_map(geom, x, h * dense)
-            u_sparse = prox_map(geom, x, h * sparse)
-            np.testing.assert_allclose(u_sparse, u_dense, atol=1e-12)
 
 
 class TestValidation:

@@ -45,17 +45,17 @@ def zero_gradient_problem():
 
 class TestStepSize:
     def test_single(self):
-        assert step_size(1.0, [2.0]) == 0.5
+        assert step_size(1.0, 4.0) == 0.5
 
     def test_pythagorean(self):
-        assert step_size(1.0, [3.0, 4.0]) == pytest.approx(0.2, abs=1e-15)
+        assert step_size(1.0, 25.0) == pytest.approx(0.2, abs=1e-15)
 
     def test_four_ones(self):
-        assert step_size(2.0, [1.0, 1.0, 1.0, 1.0]) == 1.0
+        assert step_size(2.0, 4.0) == 1.0
 
     def test_degenerate_signals(self):
         with pytest.raises(ZeroDivisionError):
-            step_size(1.0, [0.0, 0.0])
+            step_size(1.0, 0.0)
 
 
 class TestStoppingCriterion:
@@ -229,9 +229,27 @@ class TestSolveAdaptive:
         np.testing.assert_allclose(result.x_bar, np.mean(productive, axis=0), atol=1e-15)
 
     def test_iterates_stay_feasible(self, quad_problem):
-        for st_state in mirror_descent_steps(quad_problem, SolverConfig(epsilon=0.05)):
-            assert on_simplex(st_state.x)
-            assert on_simplex(st_state.x_next)
+        # every step, productive or not, is one prox move along the recorded sample
+        generated = generate_instance(15, m_count=6, density=0.2, seed=21)
+        for problem in (quad_problem, generated):
+            geom = problem.geometry()
+            for st_state in mirror_descent_steps(problem, SolverConfig(epsilon=0.05)):
+                assert on_simplex(st_state.x)
+                assert on_simplex(st_state.x_next)
+                expected = prox_map(geom, st_state.x, st_state.h * st_state.gradient)
+                np.testing.assert_array_equal(st_state.x_next, expected)
+
+    def test_constraint_evaluated_once_per_step(self, quad_problem, monkeypatch):
+        calls = []
+        values = MaxLinearConstraint.values
+
+        def counted(constraint, x):
+            calls.append(1)
+            return values(constraint, x)
+
+        monkeypatch.setattr(MaxLinearConstraint, "values", counted)
+        result = solve_adaptive(quad_problem, SolverConfig(epsilon=0.05))
+        assert len(calls) == result.N
 
     def test_reproducible_bit_exact(self, quad_problem):
         stochastic = dataclasses.replace(quad_problem, oracle_mode="column")
