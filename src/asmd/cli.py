@@ -133,6 +133,7 @@ def cmd_solve(args, parser) -> int:
         seed=args.seed,
         variant=args.variant,
         fixed_M=args.fixed_M,
+        record_trace=bool(args.trace_out),
     )
     result = _solve_dispatch(problem, config)
     doc = {

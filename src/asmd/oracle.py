@@ -7,10 +7,11 @@ the current simplex point is an unbiased estimate of the gradient at O(n)
 cost. ``LinearObjective`` is ``<c, x>`` with a constant gradient.
 
 ``MaxLinearConstraint`` is a pointwise maximum of affine forms evaluated
-exactly; it is stored as sparse directions plus scalar offsets so the raw
-sparsity of the data survives the feasibility shift applied by instance
-generators. One evaluation yields both the value and the active term, whose
-precomputed dense direction is the constraint subgradient.
+exactly. Sparse directions plus scalar offsets are its stored and file
+form, so the raw sparsity survives the feasibility shift applied by
+instance generators; values and subgradients read dense rows built from
+them at construction. One evaluation yields both the value and the active
+term, whose dense shifted direction is the constraint subgradient.
 
 Oracles return plain arrays and check their data once, at construction:
 finite data yields finite samples. They are immutable after construction.
@@ -46,16 +47,25 @@ class RngStream:
         return self._gen.random(size=size)
 
 
+def _check_point(x, dimension: int) -> np.ndarray:
+    """``x`` as a float vector, rejected unless its shape is ``(dimension,)``."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (dimension,):
+        raise ValueError(f"point has shape {x.shape}, expected ({dimension},)")
+    return x
+
+
 def _as_distribution(x) -> np.ndarray:
     """Clip round-off negatives to zero, without renormalizing: callers
-    scale their uniform draw by the total mass ``cdf[-1]`` instead."""
+    scale their uniform draw by the total mass ``cdf[-1]`` instead, which
+    must be normal: a subnormal ``u * cdf[-1]`` can round up to ``cdf[-1]``."""
     x = np.asarray(x, dtype=float)
     if (x < -FEASIBILITY_TOL).any():
         raise ValueError("point has negative coordinates beyond the feasibility tolerance")
     p = np.maximum(x, 0.0)
     total = float(p.sum())
-    if total <= 0.0:
-        raise ValueError("cannot sample an index: no positive mass after clipping")
+    if total < np.finfo(float).tiny:
+        raise ValueError("cannot sample an index: total mass after clipping is zero or subnormal")
     return p
 
 
@@ -97,14 +107,8 @@ class QuadraticObjective:
         self.matrix = a
         self.dimension = a.shape[0]
 
-    def _check(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dimension,):
-            raise ValueError(f"point has shape {x.shape}, expected ({self.dimension},)")
-        return x
-
     def value(self, x) -> float:
-        x = self._check(x)
+        x = _check_point(x, self.dimension)
         return 0.5 * float(x @ (self.matrix @ x))
 
     def value_batch(self, points: np.ndarray) -> np.ndarray:
@@ -112,7 +116,7 @@ class QuadraticObjective:
 
     def gradient(self, x) -> np.ndarray:
         """Exact gradient ``A x`` (O(n^2) dense)."""
-        return self.matrix @ self._check(x)
+        return self.matrix @ _check_point(x, self.dimension)
 
     def column(self, i: int) -> np.ndarray:
         return self.matrix[:, i].copy()
@@ -120,7 +124,7 @@ class QuadraticObjective:
     def column_sample(self, x, rng: RngStream) -> np.ndarray:
         """Unbiased O(n) gradient estimate: column i of A drawn with
         probability x_i. Requires x to be (numerically) a distribution."""
-        return self.column(sample_simplex_index(self._check(x), rng))
+        return self.column(sample_simplex_index(_check_point(x, self.dimension), rng))
 
 
 class LinearObjective:
@@ -135,34 +139,30 @@ class LinearObjective:
         self.coefficients = c
         self.dimension = c.size
 
-    def _check(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dimension,):
-            raise ValueError(f"point has shape {x.shape}, expected ({self.dimension},)")
-        return x
-
     def value(self, x) -> float:
-        return float(np.dot(self.coefficients, self._check(x)))
+        return float(np.dot(self.coefficients, _check_point(x, self.dimension)))
 
     def value_batch(self, points: np.ndarray) -> np.ndarray:
         return points @ self.coefficients
 
     def gradient(self, x) -> np.ndarray:
-        self._check(x)
+        _check_point(x, self.dimension)
         return self.coefficients.copy()
 
 
 class MaxLinearConstraint:
     """Pointwise maximum of affine forms ``g(x) = max_m (<c_m, x> - b_m)``.
 
-    Directions are stored sparsely as (indices, values) pairs with the
-    scalar offsets kept separate. The dense direction associated with term
-    m is ``c_m - b_m * ones``; on the simplex it induces the same function
-    values as the sparse pair, and it is the subgradient the solver applies
-    and whose dual norm it records. The dense directions are precomputed
-    and read-only, so callers may hold rows without copying. Argmax ties
-    break to the smallest index so traces are reproducible (any maximizer
-    is a valid subgradient).
+    ``terms`` holds the directions as sparse (indices, values) pairs, the
+    stored and file form, with the scalar offsets kept separate. Values
+    and subgradients read dense rows built from the pairs: every value is
+    ``term_matrix @ x - offsets`` (row m of ``term_matrix`` is c_m), exact
+    off the simplex too. Row m of ``directions`` is ``c_m - b_m * ones``;
+    on the simplex it induces the same values, and it is the subgradient
+    the solver applies and whose dual norm it records. Both matrices are
+    read-only, so callers may hold rows without copying. Argmax ties break
+    to the smallest index so traces are reproducible (any maximizer is a
+    valid subgradient).
 
     Evaluation is exact and deterministic: this oracle is the zero-noise
     special case of the sampling contract.
@@ -194,32 +194,26 @@ class MaxLinearConstraint:
         self.dimension = dimension
         self.terms = terms
         self.offsets = offs
-        dense = np.zeros((offs.size, dimension))
+        raw = np.zeros((offs.size, dimension))
         with np.errstate(over="ignore"):
             for m, (idx, val) in enumerate(terms):
-                np.add.at(dense[m], idx, val)
-            dense -= offs[:, None]
-        if not np.isfinite(dense).all():
+                np.add.at(raw[m], idx, val)
+            shifted = raw - offs[:, None]
+        # an overflowing raw entry (repeated indices) overflows its shifted row too
+        if not np.isfinite(shifted).all():
             raise ValueError("shifted directions c_m - b_m overflow")
-        dense.flags.writeable = False
-        self.directions = dense
+        raw.flags.writeable = False
+        shifted.flags.writeable = False
+        self.term_matrix = raw
+        self.directions = shifted
 
     @property
     def count(self) -> int:
         return len(self.terms)
 
-    def _check(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dimension,):
-            raise ValueError(f"point has shape {x.shape}, expected ({self.dimension},)")
-        return x
-
     def values(self, x) -> np.ndarray:
-        """All affine term values at x, computed through the sparse pairs."""
-        x = self._check(x)
-        return np.array(
-            [float(np.dot(val, x[idx])) for idx, val in self.terms]
-        ) - self.offsets
+        """All affine term values ``C x - b`` at x, from the term matrix."""
+        return self.term_matrix @ _check_point(x, self.dimension) - self.offsets
 
     def value_and_argmax(self, x) -> tuple[float, int]:
         """Value at x and the index of the active term, from one evaluation;
@@ -232,11 +226,8 @@ class MaxLinearConstraint:
         return self.value_and_argmax(x)[0]
 
     def value_batch(self, points: np.ndarray) -> np.ndarray:
-        out = np.full(points.shape[0], -np.inf)
-        for (idx, val), b in zip(self.terms, self.offsets):
-            row = points[:, idx] @ val - b if idx.size else np.full(points.shape[0], -b)
-            np.maximum(out, row, out=out)
-        return out
+        """Value at each row of ``points``: the same product over the stack."""
+        return (points @ self.term_matrix.T - self.offsets).max(axis=1)
 
     def argmax_term(self, x) -> int:
         """Index of the active term; ties resolve to the smallest index."""

@@ -61,7 +61,8 @@ class SolverConfig:
     subgradient bound the fixed policy needs. ``max_iterations`` caps the
     adaptive loop; when omitted, a safety cap of ten times the worst-case
     count (with the largest sample norm seen so far standing in for the
-    uniform bound) is maintained on the fly.
+    uniform bound) is maintained on the fly. The objective value is
+    evaluated only for trace rows and invariant checks, not by the step.
     """
 
     epsilon: float
@@ -112,18 +113,17 @@ class RunResult:
 
 @dataclass(frozen=True)
 class StepState:
-    """Everything observable about one iteration, for diagnostics.
+    """Everything the step itself computed, for diagnostics.
 
     ``gradient`` is the sample the step applied and whose dual norm it
     recorded. ``stopped`` marks the iteration at which the variant's
-    stopping rule fired.
+    stopping rule fired. Readers that need f(x) evaluate it themselves.
     """
 
     k: int
     x: np.ndarray
     productive: bool
     g_value: float
-    f_value: float | None
     gradient: np.ndarray
     M: float
     h: float
@@ -210,7 +210,6 @@ def mirror_descent_steps(problem: ProblemInstance, config: SolverConfig) -> Iter
             x=x,
             productive=productive,
             g_value=g_value,
-            f_value=problem.objective_value(x),
             gradient=gradient,
             M=m_k,
             h=h,
@@ -252,7 +251,8 @@ class _StepChecker:
         if st.productive != (st.g_value <= self.epsilon):
             raise InvariantViolation(f"productive flag inconsistent at step {st.k}")
         if self.deterministic and math.isfinite(st.h):
-            gap = (st.f_value - self.f_ref) if st.productive else (st.g_value - self.g_ref)
+            level = self.problem.objective_value(st.x) if st.productive else st.g_value
+            gap = level - (self.f_ref if st.productive else self.g_ref)
             resid = mirror_step_residual(
                 self.geom, st.x, st.x_next, self.ref, st.gradient, st.h, gap
             )
@@ -286,9 +286,8 @@ def _drive(problem: ProblemInstance, config: SolverConfig) -> RunResult:
             accum += st.x
             n_productive += 1
         if config.record_trace:
-            trace.append(
-                IterationRecord(st.k, st.productive, st.M, st.h, st.g_value, st.f_value)
-            )
+            f_value = problem.objective_value(st.x)
+            trace.append(IterationRecord(st.k, st.productive, st.M, st.h, st.g_value, f_value))
         if checker is not None:
             checker.check(st)
         if st.stopped:
@@ -447,9 +446,10 @@ def min_step_residual(
         v_next = [bregman(geom, st.x_next, r) for r in refs]
         if math.isfinite(st.h):
             half_step = 0.5 * st.h * st.M * st.M
+            level = problem.objective_value(st.x) if st.productive else st.g_value
+            ref_levels = f_refs if st.productive else g_refs
             for i in range(len(refs)):
-                gap = (st.f_value - f_refs[i]) if st.productive else (st.g_value - g_refs[i])
-                resid = (v_now[i] - v_next[i]) / st.h + half_step - gap
+                resid = (v_now[i] - v_next[i]) / st.h + half_step - (level - ref_levels[i])
                 if resid < best:
                     best = resid
         v_now = v_next

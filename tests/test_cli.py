@@ -76,22 +76,25 @@ class TestSolve:
         np.testing.assert_array_equal(np.array(doc["x_bar"]), lib.x_bar)
 
     def test_byte_identical_reruns(self, tmp_path):
+        # a run without --trace-out records no trace and writes the same result
         paths = []
-        for tag in ("one", "two"):
+        for tag in ("one", "two", "untraced"):
             result_path = tmp_path / f"{tag}.json"
             trace_path = tmp_path / f"{tag}.csv"
+            trace_args = [] if tag == "untraced" else ["--trace-out", trace_path]
             run_cli(
                 "solve",
                 "--problem", fixture_path(QUADRATIC_N3),
                 "--epsilon", 0.05,
                 "--seed", 11,
                 "--result-out", result_path,
-                "--trace-out", trace_path,
+                *trace_args,
                 "--no-timestamp",
             )
             paths.append((result_path, trace_path))
-        assert paths[0][0].read_bytes() == paths[1][0].read_bytes()
+        assert paths[0][0].read_bytes() == paths[1][0].read_bytes() == paths[2][0].read_bytes()
         assert paths[0][1].read_bytes() == paths[1][1].read_bytes()
+        assert not paths[2][1].exists()
 
     def test_timestamp_toggle(self, tmp_path):
         with_ts = tmp_path / "ts.json"

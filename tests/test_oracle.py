@@ -132,6 +132,12 @@ class TestColumnSampling:
     def test_all_zero_rejected(self):
         with pytest.raises(ValueError):
             sample_simplex_index(np.zeros(3), RngStream(9))
+        # a subnormal total too: u * cdf[-1] can round up to it, giving index n
+        subnormal = np.array([5e-324, 0.0])
+        with pytest.raises(ValueError):
+            sample_simplex_index(subnormal, RngStream(0))
+        with pytest.raises(ValueError):
+            sample_simplex_indices(subnormal, RngStream(0), 1000)
 
     def test_determinism_across_streams(self):
         x = np.array([0.2, 0.5, 0.3])
@@ -210,6 +216,19 @@ class TestMaxLinearConstraint:
             x, y = pts[2 * i], pts[2 * i + 1]
             lower = c.value(x) + float(c.subgradient(x) @ (y - x))
             assert c.value(y) >= lower - 1e-10
+
+    def test_dense_evaluation_matches_sparse_pairs(self):
+        rng = np.random.default_rng(17)
+        rows = rng.standard_normal((4, 3)) * (rng.random((4, 3)) < 0.6)
+        c = make_constraint(rows, rng.standard_normal(4))
+        # off the simplex too, where the shifted directions give other values
+        for x in (np.array([2.0, -1.0, 0.5]), np.array([-3.0, 0.25, 4.0]), np.zeros(3)):
+            sparse = np.array([val @ x[idx] for idx, val in c.terms]) - c.offsets
+            np.testing.assert_allclose(c.values(x), sparse, rtol=1e-15, atol=0)
+        pts = rng.dirichlet(np.ones(3), size=200)
+        np.testing.assert_allclose(
+            c.value_batch(pts), [c.value(p) for p in pts], rtol=1e-15, atol=1e-15
+        )
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asmd.geometry import dgf_minimizer, entropy_simplex, on_simplex, prox_map
-from asmd.oracle import LinearObjective, MaxLinearConstraint
+from asmd.oracle import LinearObjective, MaxLinearConstraint, QuadraticObjective
 from asmd.problems import ProblemInstance, generate_instance, uniform_subgradient_bound
 from asmd.solver import (
     ADAPTIVE,
@@ -364,7 +364,9 @@ class TestMinStepResidual:
         direct = math.inf
         for st_state in mirror_descent_steps(quad_problem, config):
             gap = (
-                st_state.f_value - f_ref if st_state.productive else st_state.g_value - g_ref
+                quad_problem.objective_value(st_state.x) - f_ref
+                if st_state.productive
+                else st_state.g_value - g_ref
             )
             direct = min(
                 direct,
@@ -411,9 +413,21 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig(epsilon=0.1, variant=FIXED, fixed_M=0.0)
 
-    def test_record_trace_off_keeps_result(self, quad_problem):
+    def test_record_trace_off_keeps_result(self, quad_problem, monkeypatch):
+        # the objective is evaluated only for trace rows: once per step, or never
+        calls = []
+        value = QuadraticObjective.value
+
+        def counted(objective, x):
+            calls.append(1)
+            return value(objective, x)
+
+        monkeypatch.setattr(QuadraticObjective, "value", counted)
         on = solve_adaptive(quad_problem, SolverConfig(epsilon=0.05))
+        assert len(calls) == on.N
+        calls.clear()
         off = solve_adaptive(quad_problem, SolverConfig(epsilon=0.05, record_trace=False))
+        assert len(calls) == 0
         assert off.trace == []
         np.testing.assert_array_equal(on.x_bar, off.x_bar)
         assert (on.N, on.N_I, on.M_bar) == (off.N, off.N_I, off.M_bar)
