@@ -225,6 +225,7 @@ def _benchmark_cell_runs(problem, variant, mode, epsilon, seeds, base_seed, fixe
             seed=base_seed + i,
             variant=variant,
             fixed_M=fixed_m if variant == FIXED else None,
+            record_trace=False,
         )
         return _solve_dispatch(cell_problem, config)
 
@@ -275,7 +276,7 @@ def run_benchmark(
                 row.stderr_f_gap = (
                     float(np.std(gaps, ddof=1) / math.sqrt(len(gaps))) if len(gaps) > 1 else 0.0
                 )
-            m_hat = max(max((rec.M_k for rec in r.trace), default=0.0) for r in results)
+            m_hat = max(r.M_max for r in results)
             if m_hat > 0:
                 row.worst_case_N = worst_case_iterations(m_hat, geom.radius, epsilon, variant)
                 if variant == ADAPTIVE:

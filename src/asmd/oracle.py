@@ -101,7 +101,7 @@ class QuadraticObjective:
             raise ValueError(f"matrix must be square, got shape {a.shape}")
         if not np.isfinite(a).all():
             raise ValueError("matrix has non-finite entries")
-        self.symmetrized = bool(a.size) and float(np.abs(a - a.T).max()) > 0.0
+        self.symmetrized = not np.array_equal(a, a.T)
         if self.symmetrized:
             a = 0.5 * (a + a.T)
         self.matrix = a

@@ -169,24 +169,29 @@ def generate_instance(
 
 
 def problem_to_document(p: ProblemInstance) -> dict:
+    """The instance as a file document.
+
+    The float fields are the instance's own arrays, not copies, so that
+    ``canonical_json`` writes them through its array path.
+    """
     if isinstance(p.objective, QuadraticObjective):
-        objective = {"type": "quadratic", "A": p.objective.matrix.tolist()}
+        objective = {"type": "quadratic", "A": p.objective.matrix}
     else:
-        objective = {"type": "linear", "c": p.objective.coefficients.tolist()}
+        objective = {"type": "linear", "c": p.objective.coefficients}
     return {
         "name": p.name,
         "n": p.dimension,
         "objective": objective,
         "constraints": {
             "sparse": [
-                {"indices": idx.tolist(), "values": val.tolist()}
+                {"indices": idx.tolist(), "values": val}
                 for idx, val in p.constraint.terms
             ],
-            "offsets": p.constraint.offsets.tolist(),
+            "offsets": p.constraint.offsets,
         },
         "geometry": p.geometry_kind,
         "oracle": p.oracle_mode,
-        "witness": p.feasible_witness.tolist(),
+        "witness": p.feasible_witness,
         "margin": p.margin,
     }
 

@@ -1,8 +1,17 @@
 """Deterministic text serialization helpers.
 
-All numeric output (instance files, result files, trace CSVs) goes through
-``format_real`` so reruns with identical inputs produce byte-identical
-files and every value round-trips to the exact same double.
+All numeric output (instance files, result files, trace CSVs) follows one
+rule, ``format_real``: 17 significant digits, so reruns with identical
+inputs produce byte-identical files and every value round-trips to the
+exact same double.
+
+``canonical_json`` takes lists and numpy arrays alike and writes the same
+bytes for both. A 1-D float array takes an array path: one ``isfinite``
+check for the whole row, zeros written as ``0.0`` or ``-0.0`` by their
+sign bit, and only the nonzero entries passed through ``format_real``.
+That is what makes the mostly-zero matrices of instance files cheap to
+write. Higher-rank arrays are rendered row by row, one row per line, and
+are never flattened into one list of strings.
 """
 
 from __future__ import annotations
@@ -27,6 +36,18 @@ def format_real(x: float) -> str:
     return s
 
 
+def _render_reals(row: np.ndarray) -> str:
+    """A 1-D float array as an inline JSON list, the same text as its ``tolist()``."""
+    finite = np.isfinite(row)
+    if not finite.all():
+        format_real(row[~finite][0])  # raises the scalar path's error
+    cells = np.where(np.signbit(row), "-0.0", "0.0").tolist()
+    nonzero = np.flatnonzero(row)
+    for i, value in zip(nonzero.tolist(), row[nonzero].tolist()):
+        cells[i] = format_real(value)
+    return "[" + ", ".join(cells) + "]"
+
+
 def _render(obj, indent: int) -> str:
     pad = "  " * indent
     if isinstance(obj, str):
@@ -45,7 +66,10 @@ def _render(obj, indent: int) -> str:
         )
         return "{\n" + inner + "\n" + pad + "}"
     if isinstance(obj, np.ndarray):
-        obj = obj.tolist()
+        if obj.ndim == 1 and obj.dtype.kind == "f":
+            return _render_reals(obj)
+        # higher ranks go row by row, so float rows still take the array path
+        obj = list(obj) if obj.ndim > 1 else obj.tolist()
     if isinstance(obj, (list, tuple)):
         items = list(obj)
         if not items:
@@ -65,7 +89,7 @@ def canonical_json(doc) -> str:
 
 def vector_digest(vec) -> str:
     """Short hex digest of a vector's canonical serialization."""
-    payload = canonical_json([float(v) for v in vec])
+    payload = canonical_json(np.asarray(vec, dtype=float))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:8]
 
 

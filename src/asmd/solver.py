@@ -100,7 +100,9 @@ class IterationRecord:
 class RunResult:
     """Outcome of a solve: the averaged point plus counters and the trace.
 
-    ``M_bar`` is the root mean square of the recorded sample norms.
+    ``M_bar`` is the root mean square of the recorded sample norms and
+    ``M_max`` the largest of them; both are kept whether or not the run
+    records a trace.
     """
 
     x_bar: np.ndarray
@@ -109,6 +111,7 @@ class RunResult:
     stop_reason: str
     trace: list[IterationRecord]
     M_bar: float
+    M_max: float
 
 
 @dataclass(frozen=True)
@@ -277,11 +280,13 @@ def _drive(problem: ProblemInstance, config: SolverConfig) -> RunResult:
     n_total = 0
     n_productive = 0
     sum_m_sq = 0.0
+    m_max = 0.0
     stop_reason = CAP_REACHED
     trace: list[IterationRecord] = []
     for st in mirror_descent_steps(problem, config):
         n_total = st.k
         sum_m_sq = st.sum_M_sq
+        m_max = max(m_max, st.M)
         if st.productive:
             accum += st.x
             n_productive += 1
@@ -306,6 +311,7 @@ def _drive(problem: ProblemInstance, config: SolverConfig) -> RunResult:
         stop_reason=stop_reason,
         trace=trace,
         M_bar=math.sqrt(sum_m_sq / n_total),
+        M_max=m_max,
     )
 
 

@@ -1,12 +1,14 @@
-"""The library calls that ``perfbench/workloads.py`` makes, scaled down to n = 6.
+"""The library and CLI calls that ``perfbench/workloads.py`` makes, scaled down to n = 6.
 
 The benchmark calls ``solver.solve_adaptive`` and ``cli.run_benchmark``
-directly. If one of them changed its signature or behaviour, the
-benchmark would only report failed solves, so the same calls are made
-here.
+directly, and runs ``asmd gen`` and ``asmd solve`` through ``cli.main``.
+If one of them changed its signature or behaviour, the benchmark would
+only report failed solves, so the same calls are made here.
 """
 
+import csv
 import dataclasses
+import json
 
 import pytest
 
@@ -45,3 +47,21 @@ def test_run_benchmark_call():
             assert row.seeds_run == 1
             assert row.within_bound is not False
             assert row.mean_g_value <= EPSILON
+
+
+def test_cli_gen_and_solve_calls(tmp_path, capsys):
+    instance, trace, result = (str(tmp_path / name) for name in
+                               ("instance.json", "trace.csv", "result.json"))
+    assert cli.main(["gen", "--n", "6", "--m", "10", "--density", "0.1", "--seed", "7",
+                     "--oracle", "column", "--out", instance]) == 0
+    assert cli.main(["solve", "--problem", instance, "--epsilon", repr(EPSILON), "--seed", "5",
+                     "--trace-out", trace, "--result-out", result, "--no-timestamp"]) == 0
+    capsys.readouterr()
+    with open(result, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    with open(trace, encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert doc["stop_reason"] == solver.CRITERION_MET
+    assert len(rows) == doc["N"] + 1
+    assert rows[0][-1] == "f_value"
+    assert all(row[-1] != "" for row in rows[1:])

@@ -1,13 +1,22 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from asmd.cli import main
+from asmd.cli import main, run_benchmark
 from asmd.fixtures import LINEAR_N2, QUADRATIC_N3, fixture_path, load_fixture
-from asmd.problems import load_problem
-from asmd.solver import SolverConfig, solve_adaptive
+from asmd.oracle import QuadraticObjective
+from asmd.problems import generate_instance, load_problem, uniform_subgradient_bound
+from asmd.solver import (
+    ADAPTIVE,
+    FIXED,
+    SolverConfig,
+    solve_adaptive,
+    solve_fixed,
+    worst_case_iterations,
+)
 
 
 def run_cli(*args):
@@ -229,6 +238,42 @@ class TestBenchmark:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
         capsys.readouterr()
+
+
+    def test_sweep_runs_untraced(self, monkeypatch):
+        # n > 4 has no reference gaps, so an untraced sweep never evaluates f;
+        # its worst-case N must still come from the largest sample norm M_k
+        problem = generate_instance(6, m_count=10, density=0.1, seed=7)
+        epsilon, seeds, base_seed = 0.1, 3, 4
+        calls = []
+        value = QuadraticObjective.value
+        monkeypatch.setattr(
+            QuadraticObjective, "value", lambda self, x: calls.append(1) or value(self, x)
+        )
+        rows = run_benchmark(
+            problem, epsilon, seeds, [ADAPTIVE, FIXED], ["exact", "column"], base_seed=base_seed
+        )
+        assert calls == []
+        fixed_m = uniform_subgradient_bound(problem)
+        radius = problem.geometry().radius
+        for row in rows:
+            cell = dataclasses.replace(problem, oracle_mode=row.oracle_mode)
+            solve = solve_adaptive if row.variant == ADAPTIVE else solve_fixed
+            traced = [
+                solve(cell, SolverConfig(
+                    epsilon=epsilon,
+                    seed=base_seed + i,
+                    variant=row.variant,
+                    fixed_M=fixed_m if row.variant == FIXED else None,
+                ))
+                for i in range(seeds)
+            ]
+            m_hat = max(max(rec.M_k for rec in r.trace) for r in traced)
+            assert row.status == "ok"
+            assert row.mean_N == np.mean([r.N for r in traced])
+            assert row.worst_case_N == worst_case_iterations(m_hat, radius, epsilon, row.variant)
+            if row.variant == ADAPTIVE:
+                assert row.within_bound == all(r.N <= row.worst_case_N for r in traced)
 
 
 class TestValidate:
