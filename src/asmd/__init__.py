@@ -8,9 +8,7 @@ for benchmarks and statistical validation.
 """
 
 from .geometry import (
-    ENTROPY_SIMPLEX,
     EUCLIDEAN_SIMPLEX,
-    FEASIBILITY_TOL,
     Geometry,
     bregman,
     dgf_gradient,
@@ -29,7 +27,6 @@ from .oracle import (
     MaxLinearConstraint,
     QuadraticObjective,
     RngStream,
-    UnbiasednessReport,
     sample_simplex_index,
     unbiasedness_report,
 )
@@ -37,7 +34,6 @@ from .problems import (
     InstanceFormatError,
     InstanceValidationError,
     ProblemInstance,
-    ReferenceOptimum,
     generate_instance,
     load_problem,
     problem_from_document,
@@ -52,12 +48,8 @@ from .solver import (
     CRITERION_MET,
     FIXED,
     InfeasibleRunError,
-    InvariantViolation,
-    IterationRecord,
     RunResult,
     SolverConfig,
-    StepState,
-    TelescopingReport,
     min_step_residual,
     mirror_descent_steps,
     mirror_step_residual,
@@ -76,27 +68,19 @@ __all__ = [
     "ADAPTIVE",
     "CAP_REACHED",
     "CRITERION_MET",
-    "ENTROPY_SIMPLEX",
     "EUCLIDEAN_SIMPLEX",
-    "FEASIBILITY_TOL",
     "FIXED",
     "Geometry",
     "InfeasibleRunError",
     "InstanceFormatError",
     "InstanceValidationError",
-    "InvariantViolation",
-    "IterationRecord",
     "LinearObjective",
     "MaxLinearConstraint",
     "ProblemInstance",
     "QuadraticObjective",
-    "ReferenceOptimum",
     "RngStream",
     "RunResult",
     "SolverConfig",
-    "StepState",
-    "TelescopingReport",
-    "UnbiasednessReport",
     "bregman",
     "dgf_gradient",
     "dgf_minimizer",

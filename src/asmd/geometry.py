@@ -12,6 +12,12 @@ and its gradient, the induced divergence ``V(x, y)``, the dual norm used to
 measure subgradients, and the prox operator restricted to the simplex.
 Geometry values are immutable and all operations are pure functions, so
 they can be shared freely between concurrently running solves.
+
+The public functions check their inputs (shape, finiteness, simplex
+membership where a feasible point is required). ``prox_map`` and
+``dual_norm`` then run one check-free kernel per geometry, from
+``PROX_KERNELS`` and ``DUAL_NORM_KERNELS``; the solver's step calls the
+kernels directly, since the prox step keeps its iterates on the simplex.
 """
 
 from __future__ import annotations
@@ -153,13 +159,18 @@ def bregman(geom: Geometry, x, y) -> float:
     return float((y * logs).sum())
 
 
+def _norm_l2(g: np.ndarray) -> float:
+    return float(np.linalg.norm(g))
+
+
+def _norm_linf(g: np.ndarray) -> float:
+    return float(np.abs(g).max())
+
+
 def dual_norm(geom: Geometry, g) -> float:
     """Norm of a dual vector (a subgradient): l2 for the Euclidean setup,
     l-infinity for entropy (whose primal norm is l1)."""
-    g = _check_vector(geom, g, "g")
-    if geom.kind == EUCLIDEAN_SIMPLEX:
-        return float(np.linalg.norm(g))
-    return float(np.abs(g).max()) if g.size else 0.0
+    return DUAL_NORM_KERNELS[geom.kind](_check_vector(geom, g, "g"))
 
 
 def project_simplex(v) -> np.ndarray:
@@ -176,6 +187,17 @@ def project_simplex(v) -> np.ndarray:
     return np.maximum(v - theta, 0.0)
 
 
+def _prox_euclidean(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return project_simplex(x - y)
+
+
+def _prox_entropy(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    z = np.log(interior_clamp(x)) - y
+    z -= z.max()
+    w = np.exp(z)
+    return w / w.sum()
+
+
 def prox_map(geom: Geometry, x, y) -> np.ndarray:
     """Mirror update ``argmin_u <y, u> + V(x, u)`` over the simplex.
 
@@ -186,13 +208,14 @@ def prox_map(geom: Geometry, x, y) -> np.ndarray:
     ``<y + d'(u) - d'(x), v - u> >= 0`` for every feasible v.
     """
     x = require_feasible(geom, x)
-    y = _check_vector(geom, y, "y")
-    if geom.kind == EUCLIDEAN_SIMPLEX:
-        return project_simplex(x - y)
-    z = np.log(interior_clamp(x)) - y
-    z -= z.max()
-    w = np.exp(z)
-    return w / w.sum()
+    return PROX_KERNELS[geom.kind](x, _check_vector(geom, y, "y"))
+
+
+#: Check-free kernels by geometry kind. ``prox(x, y)`` trusts x to be a
+#: point of the simplex and y a finite vector of the same shape; ``norm(g)``
+#: trusts g to be a non-empty float vector.
+PROX_KERNELS = {EUCLIDEAN_SIMPLEX: _prox_euclidean, ENTROPY_SIMPLEX: _prox_entropy}
+DUAL_NORM_KERNELS = {EUCLIDEAN_SIMPLEX: _norm_l2, ENTROPY_SIMPLEX: _norm_linf}
 
 
 def dgf_minimizer(geom: Geometry) -> np.ndarray:

@@ -14,9 +14,14 @@ them at construction. One evaluation yields both the value and the active
 term, whose dense shifted direction is the constraint subgradient.
 
 Oracles return plain arrays and check their data once, at construction:
-finite data yields finite samples. They are immutable after construction.
-Randomness is confined to ``RngStream`` objects owned by each solver run,
-so concurrent runs with distinct streams never interact.
+finite data yields finite samples. They are immutable after construction;
+their matrices are read-only, so a column sample is a row view of the
+(exactly symmetric) quadratic matrix, not a copy. The public samplers
+check that the point is a distribution. The solver's step draws through
+``draw_index``, which makes no check, because its iterates are on the
+simplex by construction. Randomness is confined to ``RngStream`` objects
+owned by each solver run, so concurrent runs with distinct streams never
+interact.
 """
 
 from __future__ import annotations
@@ -69,14 +74,20 @@ def _as_distribution(x) -> np.ndarray:
     return p
 
 
+def draw_index(p: np.ndarray, rng: RngStream) -> int:
+    """Index i drawn with probability ``p_i / sum(p)`` via one uniform and a
+    CDF scan, without checks: p must be nonnegative with a normal total."""
+    cdf = np.cumsum(p)
+    u = rng.uniform() * cdf[-1]
+    return int(np.searchsorted(cdf, u, side="right"))
+
+
 def sample_simplex_index(x, rng: RngStream) -> int:
     """Draw index i with probability x_i via one uniform and a CDF scan.
 
     Indices carrying zero mass are never returned.
     """
-    cdf = np.cumsum(_as_distribution(x))
-    u = rng.uniform() * cdf[-1]
-    return int(np.searchsorted(cdf, u, side="right"))
+    return draw_index(_as_distribution(x), rng)
 
 
 def sample_simplex_indices(x, rng: RngStream, size: int) -> np.ndarray:
@@ -92,18 +103,22 @@ class QuadraticObjective:
     The stored matrix is kept exactly symmetric so the gradient formula is
     exact: asymmetric input is replaced by ``(A + A') / 2`` (which leaves
     the quadratic form unchanged) and ``symmetrized`` records that this
-    happened.
+    happened. It is read-only, so row i, the same vector as column i, is
+    handed out as a view.
     """
 
     def __init__(self, matrix):
         a = np.array(matrix, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"matrix must be square, got shape {a.shape}")
-        if not np.isfinite(a).all():
-            raise ValueError("matrix has non-finite entries")
         self.symmetrized = not np.array_equal(a, a.T)
         if self.symmetrized:
-            a = 0.5 * (a + a.T)
+            with np.errstate(over="ignore", invalid="ignore"):
+                a = 0.5 * (a + a.T)
+        # checked after symmetrizing, because a + a' can overflow
+        if not np.isfinite(a).all():
+            raise ValueError("matrix has non-finite entries")
+        a.flags.writeable = False
         self.matrix = a
         self.dimension = a.shape[0]
 
@@ -118,13 +133,11 @@ class QuadraticObjective:
         """Exact gradient ``A x`` (O(n^2) dense)."""
         return self.matrix @ _check_point(x, self.dimension)
 
-    def column(self, i: int) -> np.ndarray:
-        return self.matrix[:, i].copy()
-
     def column_sample(self, x, rng: RngStream) -> np.ndarray:
         """Unbiased O(n) gradient estimate: column i of A drawn with
-        probability x_i. Requires x to be (numerically) a distribution."""
-        return self.column(sample_simplex_index(_check_point(x, self.dimension), rng))
+        probability x_i, returned as a read-only view of row i. Requires x
+        to be (numerically) a distribution."""
+        return self.matrix[sample_simplex_index(_check_point(x, self.dimension), rng)]
 
 
 class LinearObjective:

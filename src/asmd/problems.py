@@ -21,7 +21,7 @@ import numpy as np
 
 from . import geometry as geom_mod
 from .geometry import Geometry, dual_norm, on_simplex
-from .oracle import LinearObjective, MaxLinearConstraint, QuadraticObjective, RngStream
+from .oracle import LinearObjective, MaxLinearConstraint, QuadraticObjective, RngStream, draw_index
 from .serialize import atomic_write_text, canonical_json
 
 GEOMETRY_KINDS = ("entropy", "euclidean")
@@ -101,8 +101,10 @@ class ProblemInstance:
         return self.objective.value(x)
 
     def objective_sample(self, x, rng: RngStream) -> np.ndarray:
+        """The step's gradient sample at its own iterate x. The column draw
+        skips the distribution check: the iterates are on the simplex."""
         if self.oracle_mode == "column":
-            return self.objective.column_sample(x, rng)
+            return self.objective.matrix[draw_index(x, rng)]
         return self.objective.gradient(x)
 
     def constraint_value(self, x) -> float:

@@ -13,6 +13,11 @@ stops once ``(2 R / k) sqrt(sum M_i^2)`` falls to the accuracy target.
 ``solve_fixed`` is the classical baseline: a constant stepsize and a
 precomputed iteration budget derived from a uniform subgradient bound.
 
+Inputs are checked at the boundary: ``SolverConfig`` checks the run
+parameters, ``ProblemInstance`` its data, the fixed policy its stepsize.
+The step trusts its own iterates: it calls the geometry's check-free
+kernels and keeps one scalar guard, ``h * M_k`` finite.
+
 A single solve is strictly sequential; concurrent solves are safe because
 problems and geometries are immutable and each run owns its own random
 stream.
@@ -27,12 +32,13 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .geometry import (
+    DUAL_NORM_KERNELS,
+    PROX_KERNELS,
     Geometry,
     bregman,
     dgf_minimizer,
     dual_norm,
     on_simplex,
-    prox_map,
 )
 from .oracle import RngStream
 from .problems import ProblemInstance
@@ -48,10 +54,6 @@ class InfeasibleRunError(RuntimeError):
     """A run finished without a single productive iteration."""
 
 
-class InvariantViolation(RuntimeError):
-    """A per-step runtime check failed with checking enabled."""
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     """Run parameters shared by both stepsize policies.
@@ -62,7 +64,9 @@ class SolverConfig:
     adaptive loop; when omitted, a safety cap of ten times the worst-case
     count (with the largest sample norm seen so far standing in for the
     uniform bound) is maintained on the fly. The objective value is
-    evaluated only for trace rows and invariant checks, not by the step.
+    evaluated only for trace rows, not by the step. The parameters are
+    checked here, once (``epsilon`` positive and finite, ``fixed_M`` finite
+    when given); the step makes no per-iteration checks.
     """
 
     epsilon: float
@@ -71,15 +75,16 @@ class SolverConfig:
     variant: str = ADAPTIVE
     fixed_M: float | None = None
     record_trace: bool = True
-    check_invariants: bool = False
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
         if self.variant not in (ADAPTIVE, FIXED):
             raise ValueError(f"variant must be '{ADAPTIVE}' or '{FIXED}', got {self.variant!r}")
         if self.max_iterations is not None and self.max_iterations < 1:
             raise ValueError(f"max_iterations must be at least 1, got {self.max_iterations}")
+        if self.fixed_M is not None and not math.isfinite(self.fixed_M):
+            raise ValueError(f"fixed_M must be finite, got {self.fixed_M}")
         if self.variant == FIXED and (self.fixed_M is None or not self.fixed_M > 0):
             raise ValueError("the fixed variant needs a positive fixed_M bound")
 
@@ -155,13 +160,19 @@ def stopping_criterion(radius: float, k: int, sum_m_sq: float, epsilon: float) -
 def worst_case_iterations(M: float, R: float, epsilon: float, variant: str = ADAPTIVE) -> int:
     """Iteration count sufficient under a uniform subgradient bound M:
     ``ceil(4 M^2 R^2 / eps^2)`` for the adaptive policy and
-    ``ceil(2 M^2 R^2 / eps^2)`` for the fixed baseline."""
+    ``ceil(2 M^2 R^2 / eps^2)`` for the fixed baseline. Raises
+    ``ValueError`` when the count is not finite, as when ``eps^2``
+    underflows to zero or ``M^2`` overflows."""
+    if variant not in (ADAPTIVE, FIXED):
+        raise ValueError(f"unknown variant {variant!r}")
     if not (M > 0 and R > 0 and epsilon > 0):
         raise ValueError("M, R and epsilon must all be positive")
     factor = 4.0 if variant == ADAPTIVE else 2.0
-    if variant not in (ADAPTIVE, FIXED):
-        raise ValueError(f"unknown variant {variant!r}")
-    return math.ceil(factor * M * M * R * R / (epsilon * epsilon))
+    eps_sq = epsilon * epsilon
+    count = factor * M * M * R * R / eps_sq if eps_sq > 0.0 else math.inf
+    if not math.isfinite(count):
+        raise ValueError(f"worst-case iteration count not finite: M={M}, R={R}, epsilon={epsilon}")
+    return math.ceil(count)
 
 
 def mirror_descent_steps(problem: ProblemInstance, config: SolverConfig) -> Iterator[StepState]:
@@ -173,13 +184,17 @@ def mirror_descent_steps(problem: ProblemInstance, config: SolverConfig) -> Iter
     precomputed budget exactly.
     """
     geom = problem.geometry()
+    prox = PROX_KERNELS[geom.kind]
+    norm = DUAL_NORM_KERNELS[geom.kind]
     radius = geom.radius
     rng = RngStream(config.seed)
     x = dgf_minimizer(geom)
     if config.variant == FIXED:
         bound = float(config.fixed_M)
         budget = worst_case_iterations(bound, radius, config.epsilon, FIXED)
-        h_fixed = config.epsilon / (bound * bound)
+        h_fixed = config.epsilon / (bound * bound) if bound * bound > 0.0 else math.inf
+        if not 0.0 < h_fixed < math.inf:
+            raise ValueError(f"fixed stepsize epsilon / fixed_M^2 = {h_fixed} is not usable")
     sum_m_sq = 0.0
     m_max = 0.0
     k = 0
@@ -191,23 +206,24 @@ def mirror_descent_steps(problem: ProblemInstance, config: SolverConfig) -> Iter
             gradient = problem.objective_sample(x, rng)
         else:
             gradient = problem.constraint.directions[active]
-        m_k = dual_norm(geom, gradient)
+        m_k = norm(gradient)
         sum_m_sq += m_k * m_k
         m_max = max(m_max, m_k)
-        if config.variant == ADAPTIVE:
-            if sum_m_sq > 0.0:
-                h = step_size(radius, sum_m_sq)
-                x_next = prox_map(geom, x, h * gradient)
-            else:
-                # degenerate: every sample so far was zero, so the stopping
-                # rule below fires and the iterate never moves
-                h = math.inf
-                x_next = x
-            stopped = stopping_criterion(radius, k, sum_m_sq, config.epsilon)
-        else:
+        if config.variant == FIXED:
             h = h_fixed
-            x_next = prox_map(geom, x, h * gradient)
             stopped = k >= budget
+        else:
+            # h stays inf while every sample so far was zero: the stopping
+            # rule fires then, and the iterate does not move
+            h = step_size(radius, sum_m_sq) if sum_m_sq != 0.0 else math.inf
+            stopped = stopping_criterion(radius, k, sum_m_sq, config.epsilon)
+        if h == math.inf:
+            x_next = x
+        elif math.isfinite(h * m_k):
+            # |h g_i| <= h M_k in both geometries, so the prox input is finite
+            x_next = prox(x, h * gradient)
+        else:
+            raise ValueError(f"step {k}: the prox input h * M_k = {h * m_k} is not finite")
         yield StepState(
             k=k,
             x=x,
@@ -231,51 +247,7 @@ def mirror_descent_steps(problem: ProblemInstance, config: SolverConfig) -> Iter
         x = x_next
 
 
-class _StepChecker:
-    """Per-step runtime checks, enabled by ``check_invariants``.
-
-    Feasibility of every iterate is always verified; for deterministic
-    oracles the one-step descent inequality is also verified against the
-    instance's witness, and the telescoped trace bound at the end.
-    """
-
-    def __init__(self, problem: ProblemInstance, geom: Geometry, epsilon: float):
-        self.problem = problem
-        self.geom = geom
-        self.epsilon = epsilon
-        self.deterministic = problem.is_deterministic
-        self.ref = problem.feasible_witness
-        self.f_ref = problem.objective_value(self.ref)
-        self.g_ref = problem.constraint_value(self.ref)
-
-    def check(self, st: StepState) -> None:
-        if not on_simplex(st.x_next):
-            raise InvariantViolation(f"iterate {st.k + 1} left the simplex")
-        if st.productive != (st.g_value <= self.epsilon):
-            raise InvariantViolation(f"productive flag inconsistent at step {st.k}")
-        if self.deterministic and math.isfinite(st.h):
-            level = self.problem.objective_value(st.x) if st.productive else st.g_value
-            gap = level - (self.f_ref if st.productive else self.g_ref)
-            resid = mirror_step_residual(
-                self.geom, st.x, st.x_next, self.ref, st.gradient, st.h, gap
-            )
-            if resid < -1e-8:
-                raise InvariantViolation(
-                    f"step inequality violated at step {st.k}: residual {resid:.3e}"
-                )
-
-    def check_trace(self, trace: list[IterationRecord]) -> None:
-        if self.deterministic and trace:
-            report = telescoping_bound_check(trace, self.geom, self.problem, self.ref)
-            if not report.holds:
-                raise InvariantViolation(
-                    f"trace bound violated: lhs {report.lhs:.6e} > rhs {report.rhs:.6e}"
-                )
-
-
 def _drive(problem: ProblemInstance, config: SolverConfig) -> RunResult:
-    geom = problem.geometry()
-    checker = _StepChecker(problem, geom, config.epsilon) if config.check_invariants else None
     accum = np.zeros(problem.dimension)
     n_total = 0
     n_productive = 0
@@ -293,8 +265,6 @@ def _drive(problem: ProblemInstance, config: SolverConfig) -> RunResult:
         if config.record_trace:
             f_value = problem.objective_value(st.x)
             trace.append(IterationRecord(st.k, st.productive, st.M, st.h, st.g_value, f_value))
-        if checker is not None:
-            checker.check(st)
         if st.stopped:
             stop_reason = CRITERION_MET
     if n_productive == 0:
@@ -302,8 +272,6 @@ def _drive(problem: ProblemInstance, config: SolverConfig) -> RunResult:
             f"no productive iteration in {n_total} steps at epsilon={config.epsilon}; "
             "the averaged point is undefined"
         )
-    if checker is not None:
-        checker.check_trace(trace)
     return RunResult(
         x_bar=accum / n_productive,
         N=n_total,

@@ -146,6 +146,44 @@ class TestSolve:
         assert not list(tmp_path.glob("*.part"))
 
 
+class TestDegenerateNumbers:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--epsilon", 1e-200],
+            ["--epsilon", 1e-200, "--variant", "fixed", "--fixed-M", 1e-200],
+            ["--epsilon", 1e-200, "--variant", "fixed", "--fixed-M", 1e200],
+            ["--epsilon", 1e-200, "--variant", "fixed", "--fixed-M", "inf"],
+            ["--epsilon", 0.05, "--variant", "fixed", "--fixed-M", 1e-200],
+            ["--epsilon", "inf", "--variant", "fixed", "--fixed-M", 1.0],
+        ],
+    )
+    def test_solve_exits_with_error(self, args, capsys):
+        assert run_cli("solve", "--problem", fixture_path(QUADRATIC_N3), *args) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("fixed_m", [1e-200, 1e200, "inf"])
+    def test_benchmark_keeps_adaptive_rows(self, fixed_m, tmp_path, capsys):
+        out = tmp_path / "bench.csv"
+        code = run_cli(
+            "benchmark",
+            "--problem", fixture_path(QUADRATIC_N3),
+            "--epsilon", 0.05,
+            "--seeds", 2,
+            "--oracle-modes", "exact,column",
+            "--fixed-M", fixed_m,
+            "--out", out,
+        )
+        assert code == 1
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["variant"], r["status"] == "ok") for r in rows] == [
+            ("adaptive", True), ("adaptive", True), ("fixed", False), ("fixed", False)
+        ]
+        assert all(r["status"].startswith("error: ") for r in rows[2:])
+        assert "error: " in capsys.readouterr().out
+
+
 class TestBenchmark:
     def test_single_seed_matches_solve(self, tmp_path, capsys):
         out = tmp_path / "bench.csv"

@@ -68,6 +68,14 @@ class TestQuadraticObjective:
         np.testing.assert_array_equal(q.matrix, [[0.0, 0.5], [0.5, 0.0]])
         assert not QuadraticObjective(np.eye(3)).symmetrized
 
+    def test_non_finite_rejected(self):
+        for matrix in ([[0.0, np.inf], [np.inf, 0.0]], [[0.0, np.nan], [1.0, 0.0]]):
+            with pytest.raises(ValueError, match="non-finite"):
+                QuadraticObjective(matrix)
+        # finite entries whose symmetric part overflows
+        with pytest.raises(ValueError, match="non-finite"):
+            QuadraticObjective([[0.0, 1e308], [1.7e308, 0.0]])
+
     def test_symmetrization_preserves_value(self):
         rng = np.random.default_rng(0)
         raw = rng.standard_normal((4, 4))
@@ -98,6 +106,17 @@ class TestColumnSampling:
         rng = RngStream(3)
         for _ in range(50):
             np.testing.assert_array_equal(q.column_sample([1.0, 0.0], rng), q.matrix[:, 0])
+
+    def test_sample_is_read_only_row_view(self):
+        q = QuadraticObjective([[1.0, 2.0, 0.0], [2.0, 3.0, -1.0], [0.0, -1.0, 4.0]])
+        for i in range(3):
+            sample = q.column_sample(np.eye(3)[i], RngStream(i))
+            assert np.shares_memory(sample, q.matrix)
+            np.testing.assert_array_equal(sample, q.matrix[:, i])
+            with pytest.raises(ValueError):
+                sample[0] = 5.0
+        with pytest.raises(ValueError):
+            q.matrix[0, 1] = 5.0
 
     def test_identical_columns(self):
         q = QuadraticObjective(np.ones((2, 2)))

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asmd.geometry import dgf_minimizer, entropy_simplex, on_simplex, prox_map
+from asmd import geometry, oracle, problems, solver
+from asmd.fixtures import LINEAR_N2, QUADRATIC_N3, load_fixture
+from asmd.geometry import dgf_minimizer, dual_norm, entropy_simplex, on_simplex, prox_map
 from asmd.oracle import LinearObjective, MaxLinearConstraint, QuadraticObjective
 from asmd.problems import ProblemInstance, generate_instance, uniform_subgradient_bound
 from asmd.solver import (
@@ -41,6 +43,16 @@ def zero_gradient_problem():
         feasible_witness=np.array([0.5, 0.5]),
         margin=1.0,
     )
+
+
+def counting(calls, fn):
+    """``fn`` wrapped to append its name to ``calls`` on every call."""
+
+    def counted(*args, **kwargs):
+        calls.append(fn.__name__)
+        return fn(*args, **kwargs)
+
+    return counted
 
 
 class TestStepSize:
@@ -82,6 +94,15 @@ class TestWorstCaseIterations:
     def test_positivity_required(self):
         with pytest.raises(ValueError):
             worst_case_iterations(0.0, 1.0, 0.1)
+
+    def test_non_finite_count_rejected(self):
+        # eps^2 underflows to 0, or M^2 overflows: no finite count to return
+        for args in ((1.0, 1.0, 1e-200), (1e200, 1.0, 0.1), (1e-200, 1.0, 1e-200)):
+            for variant in (ADAPTIVE, FIXED):
+                with pytest.raises(ValueError):
+                    worst_case_iterations(*args, variant)
+        with pytest.raises(ValueError):
+            worst_case_iterations(1.0, 1.0, 0.1, "annealed")
 
 
 class TestStepsumGap:
@@ -238,6 +259,7 @@ class TestSolveAdaptive:
                 assert on_simplex(st_state.x_next)
                 expected = prox_map(geom, st_state.x, st_state.h * st_state.gradient)
                 np.testing.assert_array_equal(st_state.x_next, expected)
+                assert st_state.M == dual_norm(geom, st_state.gradient)
 
     def test_constraint_evaluated_once_per_step(self, quad_problem, monkeypatch):
         calls = []
@@ -268,9 +290,42 @@ class TestSolveAdaptive:
             assert quad_problem.constraint_value(result.x_bar) <= 0.05
 
     def test_check_invariants_passes_on_fixture(self, quad_problem):
-        config = SolverConfig(epsilon=0.05, check_invariants=True)
+        # the run's invariants, checked after the fact by the analysis checks
+        config = SolverConfig(epsilon=0.05)
         result = solve_adaptive(quad_problem, config)
         assert result.stop_reason == CRITERION_MET
+        assert all(on_simplex(st.x_next) for st in mirror_descent_steps(quad_problem, config))
+        witness = quad_problem.feasible_witness
+        assert min_step_residual(quad_problem, config, [witness]) >= -1e-8
+        geom = quad_problem.geometry()
+        assert telescoping_bound_check(result.trace, geom, quad_problem, witness).holds
+
+    def test_step_makes_no_per_call_checks(self, monkeypatch):
+        # inputs are checked when instances and configs are built, not per step
+        bases = [
+            load_fixture(QUADRATIC_N3),
+            load_fixture(LINEAR_N2),
+            generate_instance(15, m_count=6, density=0.2, seed=21),
+        ]
+        runs = []
+        for base in bases:
+            quadratic = isinstance(base.objective, QuadraticObjective)
+            for kind in ("entropy", "euclidean"):
+                for mode in ("exact", "column") if quadratic else ("exact",):
+                    problem = dataclasses.replace(base, geometry_kind=kind, oracle_mode=mode)
+                    bound = uniform_subgradient_bound(problem)
+                    runs.append((solve_adaptive, problem, SolverConfig(epsilon=0.1, seed=1)))
+                    fixed = SolverConfig(epsilon=0.1, variant=FIXED, fixed_M=bound)
+                    runs.append((solve_fixed, problem, fixed))
+        assert len(runs) == 20
+        calls = []
+        for module in (geometry, oracle, problems, solver):
+            for name in ("_check_vector", "on_simplex", "_as_distribution"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counting(calls, getattr(module, name)))
+        for solve, problem, config in runs:
+            assert solve(problem, config).stop_reason == CRITERION_MET
+        assert calls == []
 
     def test_start_point_is_potential_minimizer(self, quad_problem):
         first = next(iter(mirror_descent_steps(quad_problem, SolverConfig(epsilon=0.05))))
@@ -297,6 +352,21 @@ class TestSolveFixed:
         config = SolverConfig(epsilon=0.5, variant=FIXED, fixed_M=2.0)
         result = solve_fixed(linear_problem, config)
         assert {rec.h_k for rec in result.trace} == {0.5 / 4.0}
+
+    def test_unusable_stepsize_rejected(self, linear_problem):
+        # fixed_M^2 underflows to 0, so epsilon / fixed_M^2 has no finite value
+        config = SolverConfig(epsilon=0.5, variant=FIXED, fixed_M=1e-200)
+        with pytest.raises(ValueError):
+            solve_fixed(linear_problem, config)
+
+    def test_non_finite_prox_input_rejected(self):
+        # h = 0.01 / 1e-308 is finite, but h times the sample norm 1e3 is not
+        problem = dataclasses.replace(
+            zero_gradient_problem(), objective=LinearObjective([1e3, 0.0])
+        )
+        config = SolverConfig(epsilon=0.01, variant=FIXED, fixed_M=1e-154)
+        with pytest.raises(ValueError):
+            solve_fixed(problem, config)
 
     def test_quadratic_accuracy(self, quad_problem, quad_reference):
         bound = uniform_subgradient_bound(quad_problem)
@@ -412,6 +482,11 @@ class TestSolverConfig:
             SolverConfig(epsilon=0.1, max_iterations=0)
         with pytest.raises(ValueError):
             SolverConfig(epsilon=0.1, variant=FIXED, fixed_M=0.0)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                SolverConfig(epsilon=bad)
+            with pytest.raises(ValueError):
+                SolverConfig(epsilon=0.1, variant=FIXED, fixed_M=bad)
 
     def test_record_trace_off_keeps_result(self, quad_problem, monkeypatch):
         # the objective is evaluated only for trace rows: once per step, or never
