@@ -19,6 +19,7 @@ import dataclasses
 import datetime
 import io
 import math
+import operator
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -43,6 +44,7 @@ from .solver import (
     ADAPTIVE,
     CRITERION_MET,
     FIXED,
+    VARIANTS,
     InfeasibleRunError,
     IterationRecord,
     RunResult,
@@ -55,8 +57,6 @@ from .solver import (
     worst_case_iterations,
 )
 
-TRACE_HEADER = ["k", "productive", "M_k", "h_k", "g_value", "f_value"]
-
 
 def _num(x: float) -> str:
     """CSV/table cell for a float; stepsizes may legitimately be inf."""
@@ -65,22 +65,33 @@ def _num(x: float) -> str:
     return format_real(x)
 
 
-def write_trace_csv(trace: list[IterationRecord]) -> str:
+def _cell(value) -> str:
+    """The one cell rule of every table: ``None`` is blank, a flag is 1/0."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    if isinstance(value, float):
+        return _num(value)
+    return str(value)
+
+
+def _table(record_type, records) -> list[list[str]]:
+    """Header plus one row of cells per record; the columns are the record
+    type's fields, in order."""
+    names = [field.name for field in dataclasses.fields(record_type)]
+    values = operator.attrgetter(*names)
+    return [names] + [[_cell(v) for v in values(rec)] for rec in records]
+
+
+def _csv_text(table: list[list[str]]) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(TRACE_HEADER)
-    for rec in trace:
-        writer.writerow(
-            [
-                rec.k,
-                1 if rec.productive else 0,
-                _num(rec.M_k),
-                _num(rec.h_k),
-                _num(rec.g_value),
-                "" if rec.f_value is None else _num(rec.f_value),
-            ]
-        )
+    csv.writer(buf, lineterminator="\n").writerows(table)
     return buf.getvalue()
+
+
+def write_trace_csv(trace: list[IterationRecord]) -> str:
+    return _csv_text(_table(IterationRecord, trace))
 
 
 def _solve_dispatch(problem: ProblemInstance, config: SolverConfig) -> RunResult:
@@ -166,53 +177,23 @@ def cmd_solve(args, parser) -> int:
 
 # -- benchmark ------------------------------------------------------------------
 
-BENCHMARK_HEADER = [
-    "variant",
-    "oracle_mode",
-    "seeds_run",
-    "mean_N",
-    "mean_N_I",
-    "mean_M_bar",
-    "mean_f_gap",
-    "stderr_f_gap",
-    "mean_g_value",
-    "worst_case_N",
-    "within_bound",
-    "status",
-]
-
-
 @dataclasses.dataclass
 class BenchmarkRow:
+    """One summary row of ``run_benchmark``; the fields are the table's
+    columns, in order. A value the cell did not produce is ``None``."""
+
     variant: str
     oracle_mode: str
     seeds_run: int = 0
-    mean_N: float = math.nan
-    mean_N_I: float = math.nan
-    mean_M_bar: float = math.nan
+    mean_N: float | None = None
+    mean_N_I: float | None = None
+    mean_M_bar: float | None = None
     mean_f_gap: float | None = None
     stderr_f_gap: float | None = None
-    mean_g_value: float = math.nan
+    mean_g_value: float | None = None
     worst_case_N: int | None = None
     within_bound: bool | None = None
     status: str = "ok"
-
-    def cells(self) -> list[str]:
-        blank = ""
-        return [
-            self.variant,
-            self.oracle_mode,
-            str(self.seeds_run),
-            blank if math.isnan(self.mean_N) else _num(self.mean_N),
-            blank if math.isnan(self.mean_N_I) else _num(self.mean_N_I),
-            blank if math.isnan(self.mean_M_bar) else _num(self.mean_M_bar),
-            blank if self.mean_f_gap is None else _num(self.mean_f_gap),
-            blank if self.stderr_f_gap is None else _num(self.stderr_f_gap),
-            blank if math.isnan(self.mean_g_value) else _num(self.mean_g_value),
-            blank if self.worst_case_N is None else str(self.worst_case_N),
-            blank if self.within_bound is None else ("1" if self.within_bound else "0"),
-            self.status,
-        ]
 
 
 def _benchmark_cell_runs(problem, variant, mode, epsilon, seeds, base_seed, fixed_m, jobs):
@@ -285,11 +266,22 @@ def run_benchmark(
     return rows
 
 
-def _print_table(rows: list[BenchmarkRow]) -> None:
-    table = [BENCHMARK_HEADER] + [row.cells() for row in rows]
-    widths = [max(len(line[i]) for line in table) for i in range(len(BENCHMARK_HEADER))]
+def _print_table(table: list[list[str]]) -> None:
+    widths = [max(len(cell) for cell in column) for column in zip(*table)]
     for line in table:
         print("  ".join(cell.ljust(width) for cell, width in zip(line, widths)).rstrip())
+
+
+def _choice_list(parser, text: str, choices, what: str) -> list[str]:
+    """A comma list of choices; an unknown choice or an empty list is a
+    usage error."""
+    items = [item.strip() for item in text.split(",") if item.strip()]
+    if not items:
+        parser.error(f"empty {what} list (choose from {', '.join(choices)})")
+    for item in items:
+        if item not in choices:
+            parser.error(f"unknown {what} {item!r} (choose from {', '.join(choices)})")
+    return items
 
 
 def cmd_benchmark(args, parser) -> int:
@@ -297,19 +289,12 @@ def cmd_benchmark(args, parser) -> int:
         parser.error("--seeds must be at least 1")
     if args.jobs < 1:
         parser.error("--jobs must be at least 1")
-    variants = [v.strip() for v in args.variants.split(",") if v.strip()]
-    for v in variants:
-        if v not in (ADAPTIVE, FIXED):
-            parser.error(f"unknown variant {v!r}")
+    variants = _choice_list(parser, args.variants, VARIANTS, "variant")
     problem = load_problem(args.problem)
-    modes = (
-        [m.strip() for m in args.oracle_modes.split(",") if m.strip()]
-        if args.oracle_modes
-        else [problem.oracle_mode]
-    )
-    for m in modes:
-        if m not in ORACLE_MODES:
-            parser.error(f"unknown oracle mode {m!r}")
+    if args.oracle_modes is None:
+        modes = [problem.oracle_mode]
+    else:
+        modes = _choice_list(parser, args.oracle_modes, ORACLE_MODES, "oracle mode")
     rows = run_benchmark(
         problem,
         epsilon=args.epsilon,
@@ -320,23 +305,16 @@ def cmd_benchmark(args, parser) -> int:
         fixed_m=args.fixed_M,
         jobs=args.jobs,
     )
-    _print_table(rows)
+    table = _table(BenchmarkRow, rows)
+    _print_table(table)
     if args.out:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(BENCHMARK_HEADER)
-        for row in rows:
-            writer.writerow(row.cells())
-        atomic_write_text(args.out, buf.getvalue())
+        atomic_write_text(args.out, _csv_text(table))
         print(f"wrote {args.out}")
     failed = [row for row in rows if row.status != "ok"]
     return 1 if failed else 0
 
 
 # -- validate -------------------------------------------------------------------
-
-SUITES = ("unbiasedness", "stepsum", "step-residual", "telescoping")
-
 
 def _suite_unbiasedness(samples: int, seed: int):
     """Column-sampling means must sit within four standard errors of the
@@ -406,22 +384,22 @@ def _suite_telescoping(samples: int, seed: int):
     return True, f"max lhs - rhs = {worst:.3e} (threshold 1e-8)"
 
 
+SUITES = {
+    "unbiasedness": _suite_unbiasedness,
+    "stepsum": _suite_stepsum,
+    "step-residual": _suite_step_residual,
+    "telescoping": _suite_telescoping,
+}
+
+
 def cmd_validate(args, parser) -> int:
-    suites = (
-        [s.strip() for s in args.suites.split(",") if s.strip()] if args.suites else list(SUITES)
-    )
-    for s in suites:
-        if s not in SUITES:
-            parser.error(f"unknown suite {s!r} (choose from {', '.join(SUITES)})")
-    runners = {
-        "unbiasedness": _suite_unbiasedness,
-        "stepsum": _suite_stepsum,
-        "step-residual": _suite_step_residual,
-        "telescoping": _suite_telescoping,
-    }
+    if args.suites is None:
+        suites = list(SUITES)
+    else:
+        suites = _choice_list(parser, args.suites, SUITES, "suite")
     all_ok = True
     for name in suites:
-        ok, detail = runners[name](args.samples, args.seed)
+        ok, detail = SUITES[name](args.samples, args.seed)
         all_ok &= ok
         print(f"{'PASS' if ok else 'FAIL'} {name:<14} {detail}")
     return 0 if all_ok else 3
@@ -451,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="run one solve and write result/trace files")
     solve.add_argument("--problem", required=True, help="instance file path")
     solve.add_argument("--epsilon", type=float, required=True)
-    solve.add_argument("--variant", choices=(ADAPTIVE, FIXED), default=ADAPTIVE)
+    solve.add_argument("--variant", choices=VARIANTS, default=ADAPTIVE)
     solve.add_argument("--fixed-M", type=float, default=None, dest="fixed_M")
     solve.add_argument("--seed", type=int, default=0)
     solve.add_argument("--max-iterations", type=int, default=None)
@@ -465,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--epsilon", type=float, required=True)
     bench.add_argument("--seeds", type=int, default=10, help="number of seeds per cell")
     bench.add_argument("--seed", type=int, default=0, help="base seed; run i uses base + i")
-    bench.add_argument("--variants", default=f"{ADAPTIVE},{FIXED}")
+    bench.add_argument("--variants", default=",".join(VARIANTS))
     bench.add_argument("--oracle-modes", default=None, help="default: the instance's mode")
     bench.add_argument("--fixed-M", type=float, default=None, dest="fixed_M",
                        help="default: computed uniform subgradient bound")

@@ -182,7 +182,12 @@ def project_simplex(v) -> np.ndarray:
     u = np.sort(v)[::-1]
     css = np.cumsum(u)
     idx = np.arange(1, v.size + 1)
-    rho = np.nonzero(u * idx > css - 1.0)[0][-1]
+    passing = np.nonzero(u * idx > css - 1.0)[0]
+    if passing.size == 0:
+        # past about 2**53, css_1 - 1 rounds back to u_1 and no index
+        # passes; shifted by the max, the first index always does
+        return project_simplex(v - u[0])
+    rho = passing[-1]
     theta = (css[rho] - 1.0) / (rho + 1.0)
     return np.maximum(v - theta, 0.0)
 

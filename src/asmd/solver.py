@@ -45,6 +45,7 @@ from .problems import ProblemInstance
 
 ADAPTIVE = "adaptive"
 FIXED = "fixed"
+VARIANTS = (ADAPTIVE, FIXED)
 
 CRITERION_MET = "criterion_met"
 CAP_REACHED = "cap_reached"
@@ -79,7 +80,7 @@ class SolverConfig:
     def __post_init__(self):
         if not 0 < self.epsilon < math.inf:
             raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
-        if self.variant not in (ADAPTIVE, FIXED):
+        if self.variant not in VARIANTS:
             raise ValueError(f"variant must be '{ADAPTIVE}' or '{FIXED}', got {self.variant!r}")
         if self.max_iterations is not None and self.max_iterations < 1:
             raise ValueError(f"max_iterations must be at least 1, got {self.max_iterations}")
@@ -98,7 +99,7 @@ class IterationRecord:
     M_k: float
     h_k: float
     g_value: float
-    f_value: float | None = None
+    f_value: float
 
 
 @dataclass(frozen=True)
@@ -163,7 +164,7 @@ def worst_case_iterations(M: float, R: float, epsilon: float, variant: str = ADA
     ``ceil(2 M^2 R^2 / eps^2)`` for the fixed baseline. Raises
     ``ValueError`` when the count is not finite, as when ``eps^2``
     underflows to zero or ``M^2`` overflows."""
-    if variant not in (ADAPTIVE, FIXED):
+    if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     if not (M > 0 and R > 0 and epsilon > 0):
         raise ValueError("M, R and epsilon must all be positive")
@@ -197,6 +198,10 @@ def mirror_descent_steps(problem: ProblemInstance, config: SolverConfig) -> Iter
             raise ValueError(f"fixed stepsize epsilon / fixed_M^2 = {h_fixed} is not usable")
     sum_m_sq = 0.0
     m_max = 0.0
+    # the adaptive limit; without max_iterations, a safety cap that changes
+    # only when m_max does
+    limit = config.max_iterations
+    limit_m = 0.0
     k = 0
     while True:
         k += 1
@@ -239,10 +244,10 @@ def mirror_descent_steps(problem: ProblemInstance, config: SolverConfig) -> Iter
         if stopped:
             return
         if config.variant == ADAPTIVE:
-            if config.max_iterations is not None:
-                if k >= config.max_iterations:
-                    return
-            elif k >= 10 * worst_case_iterations(m_max, radius, config.epsilon, ADAPTIVE):
+            if config.max_iterations is None and m_max != limit_m:
+                limit_m = m_max
+                limit = 10 * worst_case_iterations(m_max, radius, config.epsilon, ADAPTIVE)
+            if k >= limit:
                 return
         x = x_next
 
@@ -369,8 +374,7 @@ def telescoping_bound_check(
     The left side sums objective gaps over productive steps and constraint
     gaps over the rest, both against the reference point; the right side is
     ``2 R sqrt(sum M_k^2)``. The reference must be feasible with a
-    nonpositive constraint value, and the trace must carry objective values
-    (exact-evaluation problems record them on every step).
+    nonpositive constraint value. Every trace row carries its f(x_k).
     """
     if not trace:
         raise ValueError("trace is empty")
@@ -386,8 +390,6 @@ def telescoping_bound_check(
     for rec in trace:
         total += rec.M_k * rec.M_k
         if rec.productive:
-            if rec.f_value is None:
-                raise ValueError("trace lacks objective values on productive steps")
             lhs += rec.f_value - f_ref
         else:
             lhs += rec.g_value - g_ref
@@ -402,9 +404,9 @@ def min_step_residual(
 
     Replays the run the config describes (deterministic oracles only, so
     the replay is exact) and evaluates ``mirror_step_residual`` against
-    every reference at every step, reusing the divergence of the shared
-    iterate chain. The degenerate all-zero-gradient step, if any, is
-    skipped: its stepsize is infinite and the iterate does not move.
+    every reference at every step. The degenerate all-zero-gradient step,
+    if any, is skipped: its stepsize is infinite and the iterate does not
+    move.
     """
     if not problem.is_deterministic:
         raise ValueError("step residuals are meaningful for deterministic oracles only")
@@ -413,18 +415,13 @@ def min_step_residual(
     f_refs = [problem.objective_value(r) for r in refs]
     g_refs = [problem.constraint_value(r) for r in refs]
     best = math.inf
-    v_now = None
     for st in mirror_descent_steps(problem, config):
-        if v_now is None:
-            v_now = [bregman(geom, st.x, r) for r in refs]
-        v_next = [bregman(geom, st.x_next, r) for r in refs]
-        if math.isfinite(st.h):
-            half_step = 0.5 * st.h * st.M * st.M
-            level = problem.objective_value(st.x) if st.productive else st.g_value
-            ref_levels = f_refs if st.productive else g_refs
-            for i in range(len(refs)):
-                resid = (v_now[i] - v_next[i]) / st.h + half_step - (level - ref_levels[i])
-                if resid < best:
-                    best = resid
-        v_now = v_next
+        if not math.isfinite(st.h):
+            continue
+        level = problem.objective_value(st.x) if st.productive else st.g_value
+        ref_levels = f_refs if st.productive else g_refs
+        for ref, ref_level in zip(refs, ref_levels):
+            gap = level - ref_level
+            resid = mirror_step_residual(geom, st.x, st.x_next, ref, st.gradient, st.h, gap)
+            best = min(best, resid)
     return best

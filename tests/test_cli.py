@@ -145,6 +145,18 @@ class TestSolve:
         assert not target.exists()
         assert not list(tmp_path.glob("*.part"))
 
+    def test_huge_euclidean_step(self, tmp_path, capsys):
+        # h = 5e18 sends the prox input past 2**53, where the projection
+        # needs its max shift
+        inst = tmp_path / "inst.json"
+        assert run_cli("gen", "--n", 5, "--seed", 1, "--geometry", "euclidean", "--out", inst) == 0
+        code = run_cli(
+            "solve", "--problem", inst, "--variant", "fixed", "--fixed-M", 1e-10,
+            "--epsilon", 0.05,
+        )
+        assert code == 0
+        assert capsys.readouterr().out.splitlines()[-1].startswith("criterion_met:")
+
 
 class TestDegenerateNumbers:
     @pytest.mark.parametrize(
@@ -182,6 +194,26 @@ class TestDegenerateNumbers:
         ]
         assert all(r["status"].startswith("error: ") for r in rows[2:])
         assert "error: " in capsys.readouterr().out
+
+    def test_error_rows_are_blank(self, tmp_path, capsys):
+        out = tmp_path / "bench.csv"
+        run_cli(
+            "benchmark",
+            "--problem", fixture_path(QUADRATIC_N3),
+            "--epsilon", 0.05,
+            "--seeds", 3,
+            "--oracle-modes", "exact,column",
+            "--fixed-M", 1e-200,
+            "--out", out,
+        )
+        capsys.readouterr()
+        with open(out) as fh:
+            rows = [r for r in csv.DictReader(fh) if r["status"] != "ok"]
+        assert len(rows) == 2
+        kept = {"variant", "oracle_mode", "status", "seeds_run"}
+        for row in rows:
+            assert row["seeds_run"] == "0"
+            assert all(row[name] == "" for name in row if name not in kept)
 
 
 class TestBenchmark:
@@ -235,8 +267,15 @@ class TestBenchmark:
             if row["variant"] == "adaptive":
                 assert row["within_bound"] == "1"
                 assert float(row["mean_N"]) <= int(row["worst_case_N"])
+        with open(out) as fh:
+            header = next(csv.reader(fh))
+        assert header == [
+            "variant", "oracle_mode", "seeds_run", "mean_N", "mean_N_I", "mean_M_bar",
+            "mean_f_gap", "stderr_f_gap", "mean_g_value", "worst_case_N", "within_bound",
+            "status",
+        ]
         table = capsys.readouterr().out
-        assert "variant" in table and "worst_case_N" in table
+        assert table.split()[: len(header)] == header
 
     def test_hundred_seed_column_statistics(self, tmp_path, capsys):
         out = tmp_path / "bench.csv"
@@ -313,6 +352,26 @@ class TestBenchmark:
             if row.variant == ADAPTIVE:
                 assert row.within_bound == all(r.N <= row.worst_case_N for r in traced)
 
+    @pytest.mark.parametrize(
+        "flag, text",
+        [
+            ("--variants", ","),
+            ("--variants", ""),
+            ("--variants", "adaptive,nope"),
+            ("--oracle-modes", ","),
+            ("--oracle-modes", ""),
+            ("--oracle-modes", "exact,nope"),
+        ],
+    )
+    def test_bad_choice_list_is_usage_error(self, flag, text, capsys):
+        with pytest.raises(SystemExit) as err:
+            run_cli(
+                "benchmark", "--problem", fixture_path(QUADRATIC_N3), "--epsilon", 0.05,
+                flag, text,
+            )
+        assert err.value.code == 2
+        assert "choose from" in capsys.readouterr().err
+
 
 class TestValidate:
     def test_default_suites_pass(self, capsys):
@@ -334,6 +393,13 @@ class TestValidate:
             run_cli("validate", "--suites", "everything")
         assert err.value.code == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("text", [",", ""])
+    def test_empty_suite_list_is_usage_error(self, text, capsys):
+        with pytest.raises(SystemExit) as err:
+            run_cli("validate", "--suites", text)
+        assert err.value.code == 2
+        assert "choose from" in capsys.readouterr().err
 
 
 class TestFixtures:

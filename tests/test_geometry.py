@@ -241,6 +241,13 @@ class TestProjectSimplex:
             dists = ((grid - v) ** 2).sum(axis=1)
             assert float(((u - v) ** 2).sum()) <= float(dists.min()) + 1e-9
 
+    @pytest.mark.parametrize(
+        "v, expected", [([1e17, 0.0], [1.0, 0.0]), ([1e17, 1e17], [0.5, 0.5])]
+    )
+    def test_huge_coordinates(self, v, expected):
+        # past 2**53 the threshold test finds no index without the max shift
+        np.testing.assert_array_equal(project_simplex(np.array(v)), expected)
+
 
 def test_interior_clamp_keeps_values_close():
     x = np.array([1.0, 0.0])

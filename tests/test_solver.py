@@ -223,6 +223,13 @@ class TestSolveAdaptive:
         with pytest.raises(InfeasibleRunError):
             solve_adaptive(quad_problem, config)
 
+    def test_safety_cap_recomputed_only_when_m_max_changes(self, quad_problem, monkeypatch):
+        calls = []
+        monkeypatch.setattr(solver, "worst_case_iterations", counting(calls, worst_case_iterations))
+        result = solve_adaptive(quad_problem, SolverConfig(epsilon=0.05))
+        running_max = np.maximum.accumulate([rec.M_k for rec in result.trace])
+        assert 1 <= len(calls) <= len(set(running_max.tolist())) < result.N
+
     def test_trace_matches_counters(self, quad_problem):
         result = solve_adaptive(quad_problem, SolverConfig(epsilon=0.05))
         assert len(result.trace) == result.N
