@@ -52,6 +52,11 @@ class RngStream:
         return self._gen.random(size=size)
 
 
+def _is_index(i) -> bool:
+    """An integer, and not a bool, which Python counts as one."""
+    return isinstance(i, (int, np.integer)) and not isinstance(i, bool)
+
+
 def _check_point(x, dimension: int) -> np.ndarray:
     """``x`` as a float vector, rejected unless its shape is ``(dimension,)``."""
     x = np.asarray(x, dtype=float)
@@ -195,7 +200,20 @@ class MaxLinearConstraint:
             )
         terms = []
         for pos, (indices, values) in enumerate(sparse_terms):
-            idx = np.array(indices, dtype=np.int64).reshape(-1)
+            # checked before the cast, which would truncate 0.7 or True to
+            # another index
+            if isinstance(indices, np.ndarray):
+                integral = indices.dtype.kind in "iu" or indices.size == 0
+            else:
+                integral = all(_is_index(i) for i in indices)
+            if not integral:
+                raise ValueError(f"term {pos}: indices must be integers, not reals or booleans")
+            try:
+                idx = np.array(indices, dtype=np.int64).reshape(-1)
+            except OverflowError:
+                raise ValueError(
+                    f"term {pos}: index out of range for dimension {dimension}"
+                ) from None
             val = np.array(values, dtype=float).reshape(-1)
             if idx.size != val.size:
                 raise ValueError(f"term {pos}: {idx.size} indices but {val.size} values")

@@ -20,8 +20,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry as geom_mod
-from .geometry import Geometry, dual_norm, on_simplex
-from .oracle import LinearObjective, MaxLinearConstraint, QuadraticObjective, RngStream, draw_index
+from .geometry import Geometry, on_simplex
+from .oracle import (
+    LinearObjective,
+    MaxLinearConstraint,
+    QuadraticObjective,
+    RngStream,
+    _is_index,
+    draw_index,
+)
 from .serialize import atomic_write_text, canonical_json
 
 GEOMETRY_KINDS = ("entropy", "euclidean")
@@ -208,7 +215,7 @@ def _field(doc: dict, key: str, where: str = "document"):
 
 def problem_from_document(doc) -> ProblemInstance:
     n = _field(doc, "n")
-    if not isinstance(n, int) or n < 1:
+    if not _is_index(n) or n < 1:
         raise InstanceFormatError(f"field 'n' must be a positive integer, got {n!r}")
     objective_doc = _field(doc, "objective")
     obj_type = _field(objective_doc, "type", "objective")
@@ -228,11 +235,16 @@ def problem_from_document(doc) -> ProblemInstance:
                     raise InstanceFormatError(
                         f"field 'objective.triplets[{pos}]' must be [i, j, value]"
                     ) from None
-                if not (0 <= int(i) < n and 0 <= int(j) < n):
+                if not (_is_index(i) and _is_index(j)):
+                    raise InstanceFormatError(
+                        f"field 'objective.triplets[{pos}]' indices must be integers, "
+                        f"got {i!r}, {j!r}"
+                    )
+                if not (0 <= i < n and 0 <= j < n):
                     raise InstanceValidationError(
                         f"field 'objective.triplets[{pos}]' index out of range for n={n}"
                     )
-                matrix[int(i), int(j)] += float(v)
+                matrix[i, j] += float(v)
         else:
             raise InstanceFormatError("field 'objective' needs 'A' or 'triplets'")
         objective = QuadraticObjective(matrix)
@@ -366,12 +378,15 @@ def uniform_subgradient_bound(p: ProblemInstance) -> float:
 
     Objective samples are columns of the matrix or convex combinations of
     them (the exact gradient), so the columnwise maximum covers both oracle
-    modes; constraint subgradients are among the dense directions.
+    modes; constraint subgradients are among the dense directions. The
+    matrix is exactly symmetric, so its contiguous rows stand in for the
+    columns; the oracles checked every vector at construction, so the
+    norms run check-free.
     """
-    geom = p.geometry()
+    norm = geom_mod.DUAL_NORM_KERNELS[p.geometry().kind]
     if isinstance(p.objective, QuadraticObjective):
-        obj = max(dual_norm(geom, col) for col in p.objective.matrix.T)
+        obj = max(norm(row) for row in p.objective.matrix)
     else:
-        obj = dual_norm(geom, p.objective.coefficients)
-    con = max(dual_norm(geom, row) for row in p.constraint.directions)
+        obj = norm(p.objective.coefficients)
+    con = max(norm(row) for row in p.constraint.directions)
     return max(obj, con)

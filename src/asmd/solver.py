@@ -18,6 +18,12 @@ parameters, ``ProblemInstance`` its data, the fixed policy its stepsize.
 The step trusts its own iterates: it calls the geometry's check-free
 kernels and keeps one scalar guard, ``h * M_k`` finite.
 
+The step never evaluates the objective. A traced run computes the trace's
+f-values in blocks of ``TRACE_BLOCK`` (64) iterates, one matrix product
+per block, which reads the quadratic's matrix once per block rather than
+once per row. Summed in another order, a block value may differ from
+``objective_value`` at the same point in its last digits.
+
 A single solve is strictly sequential; concurrent solves are safe because
 problems and geometries are immutable and each run owns its own random
 stream.
@@ -50,6 +56,10 @@ VARIANTS = (ADAPTIVE, FIXED)
 CRITERION_MET = "criterion_met"
 CAP_REACHED = "cap_reached"
 
+#: Trace rows whose f-values one matrix product computes: a traced run holds
+#: at most this many pending iterates, whatever its length.
+TRACE_BLOCK = 64
+
 
 class InfeasibleRunError(RuntimeError):
     """A run finished without a single productive iteration."""
@@ -65,7 +75,9 @@ class SolverConfig:
     adaptive loop; when omitted, a safety cap of ten times the worst-case
     count (with the largest sample norm seen so far standing in for the
     uniform bound) is maintained on the fly. The objective value is
-    evaluated only for trace rows, not by the step. The parameters are
+    evaluated only for trace rows, not by the step, in blocks of
+    ``TRACE_BLOCK`` iterates; its last digits may differ from
+    ``objective_value`` at the same point. The parameters are
     checked here, once (``epsilon`` positive and finite, ``fixed_M`` finite
     when given); the step makes no per-iteration checks.
     """
@@ -252,6 +264,13 @@ def mirror_descent_steps(problem: ProblemInstance, config: SolverConfig) -> Iter
         x = x_next
 
 
+def _trace_block(objective, rows: list[tuple], xs: list[np.ndarray]) -> list[IterationRecord]:
+    """The pending trace rows as records, their f-values from one product
+    over the stacked iterates."""
+    f_values = objective.value_batch(np.stack(xs))
+    return [IterationRecord(*row, float(f)) for row, f in zip(rows, f_values)]
+
+
 def _drive(problem: ProblemInstance, config: SolverConfig) -> RunResult:
     accum = np.zeros(problem.dimension)
     n_total = 0
@@ -260,6 +279,10 @@ def _drive(problem: ProblemInstance, config: SolverConfig) -> RunResult:
     m_max = 0.0
     stop_reason = CAP_REACHED
     trace: list[IterationRecord] = []
+    # rows waiting for their f-value, and their iterates: references, since
+    # the step never writes to an iterate it has handed out
+    rows: list[tuple] = []
+    xs: list[np.ndarray] = []
     for st in mirror_descent_steps(problem, config):
         n_total = st.k
         sum_m_sq = st.sum_M_sq
@@ -268,10 +291,15 @@ def _drive(problem: ProblemInstance, config: SolverConfig) -> RunResult:
             accum += st.x
             n_productive += 1
         if config.record_trace:
-            f_value = problem.objective_value(st.x)
-            trace.append(IterationRecord(st.k, st.productive, st.M, st.h, st.g_value, f_value))
+            rows.append((st.k, st.productive, st.M, st.h, st.g_value))
+            xs.append(st.x)
+            if len(xs) == TRACE_BLOCK:
+                trace += _trace_block(problem.objective, rows, xs)
+                rows, xs = [], []
         if st.stopped:
             stop_reason = CRITERION_MET
+    if xs:
+        trace += _trace_block(problem.objective, rows, xs)
     if n_productive == 0:
         raise InfeasibleRunError(
             f"no productive iteration in {n_total} steps at epsilon={config.epsilon}; "

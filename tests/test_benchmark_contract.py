@@ -54,14 +54,21 @@ def test_cli_gen_and_solve_calls(tmp_path, capsys):
                                ("instance.json", "trace.csv", "result.json"))
     assert cli.main(["gen", "--n", "6", "--m", "10", "--density", "0.1", "--seed", "7",
                      "--oracle", "column", "--out", instance]) == 0
-    assert cli.main(["solve", "--problem", instance, "--epsilon", repr(EPSILON), "--seed", "5",
-                     "--trace-out", trace, "--result-out", result, "--no-timestamp"]) == 0
-    capsys.readouterr()
-    with open(result, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    with open(trace, encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert doc["stop_reason"] == solver.CRITERION_MET
-    assert len(rows) == doc["N"] + 1
-    assert rows[0][-1] == "f_value"
-    assert all(row[-1] != "" for row in rows[1:])
+    lengths = []
+    for seed in ("5", "0"):
+        assert cli.main(["solve", "--problem", instance, "--epsilon", repr(EPSILON), "--seed", seed,
+                         "--trace-out", trace, "--result-out", result, "--no-timestamp"]) == 0
+        capsys.readouterr()
+        with open(result, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        with open(trace, encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert doc["stop_reason"] == solver.CRITERION_MET
+        assert len(rows) == doc["N"] + 1
+        assert rows[0][-1] == "f_value"
+        assert all(row[-1] != "" for row in rows[1:])
+        lengths.append(doc["N"])
+    # seed 5 draws a zero column first and stops at step 1; seed 0 runs
+    # several blocks of trace f-values, the last one partial
+    assert lengths[0] == 1
+    assert lengths[1] > solver.TRACE_BLOCK and lengths[1] % solver.TRACE_BLOCK != 0

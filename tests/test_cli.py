@@ -120,6 +120,33 @@ class TestSolve:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            pytest.param({"indices": [0.7, 1]}, "constraints", id="real-index"),
+            pytest.param({"indices": [True, 1]}, "constraints", id="bool-index"),
+            pytest.param({"triplets": [[0.9, 0, 1.0]]}, "objective.triplets[0]",
+                         id="real-triplet"),
+            pytest.param({"triplets": [[True, 0, 1.0]]}, "objective.triplets[0]",
+                         id="bool-triplet"),
+            pytest.param({"n": True}, "'n'", id="bool-n"),
+        ],
+    )
+    def test_non_integer_index_is_rejected(self, edit, field, tmp_path, capsys):
+        # a cast would read 0.7 or true as index 0 or 1, a different problem
+        doc = json.loads(fixture_path(LINEAR_N2).read_text(encoding="utf-8"))
+        if "indices" in edit:
+            doc["constraints"]["sparse"][0] = {"indices": edit["indices"], "values": [1.0, 1.0]}
+        elif "triplets" in edit:
+            doc["objective"] = {"type": "quadratic", "triplets": edit["triplets"]}
+        else:
+            doc.update(edit)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert run_cli("solve", "--problem", bad, "--epsilon", 0.1) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
+
     def test_fixed_without_bound_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:
             run_cli("solve", "--problem", fixture_path(LINEAR_N2), "--epsilon", 0.1,

@@ -258,6 +258,16 @@ class TestMaxLinearConstraint:
             MaxLinearConstraint([([0], [1.0])], [0.0, 1.0], 2)
         with pytest.raises(ValueError):
             MaxLinearConstraint([], [], 2)
+        # a cast would truncate these to other indices
+        for indices in ([0.7, 1], [1.0], [True, 0], ["1"], [np.float64(1.0)]):
+            with pytest.raises(ValueError, match="integers"):
+                MaxLinearConstraint([(indices, [1.0] * len(indices))], [0.0], 2)
+        with pytest.raises(ValueError, match="out of range"):
+            MaxLinearConstraint([([2**70], [1.0])], [0.0], 2)
+        for empty in ([], np.array([]), np.zeros(0, dtype=np.int64)):
+            assert MaxLinearConstraint([(empty, [])], [0.0], 2).terms[0][0].size == 0
+        kept = MaxLinearConstraint([([np.int64(1), 0], [1.0, 2.0])], [0.0], 2)
+        np.testing.assert_array_equal(kept.terms[0][0], [1, 0])
         # finite data whose shifted direction c_m - b_m overflows
         with pytest.raises(ValueError, match="overflow"):
             MaxLinearConstraint([([0], [1e308])], [-1e308], 2)

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from asmd.geometry import dual_norm
 from asmd.oracle import LinearObjective, MaxLinearConstraint, QuadraticObjective
 from asmd.problems import (
     InstanceFormatError,
@@ -253,3 +254,22 @@ class TestUniformBound:
     def test_linear_bound(self):
         p = tiny_linear_problem()
         assert uniform_subgradient_bound(p) == 1.0
+
+    @pytest.mark.parametrize("kind", ["entropy", "euclidean"])
+    def test_rows_give_the_columnwise_bound_bit_for_bit(self, kind, quad_problem, linear_problem):
+        # reference: the checked dual norm over the matrix's columns
+        def columnwise(p):
+            geom = p.geometry()
+            if isinstance(p.objective, QuadraticObjective):
+                obj = max(dual_norm(geom, col) for col in p.objective.matrix.T)
+            else:
+                obj = dual_norm(geom, p.objective.coefficients)
+            return max(obj, max(dual_norm(geom, row) for row in p.constraint.directions))
+
+        bases = [quad_problem, linear_problem] + [
+            generate_instance(n, m_count=5, density=density, seed=seed)
+            for n, density, seed in ((7, 0.5, 1), (60, 0.1, 2), (301, 0.3, 3))
+        ]
+        for base in bases:
+            p = dataclasses.replace(base, geometry_kind=kind)
+            assert uniform_subgradient_bound(p) == columnwise(p)

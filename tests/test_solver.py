@@ -16,6 +16,7 @@ from asmd.solver import (
     CAP_REACHED,
     CRITERION_MET,
     FIXED,
+    TRACE_BLOCK,
     InfeasibleRunError,
     SolverConfig,
     min_step_residual,
@@ -496,20 +497,73 @@ class TestSolverConfig:
                 SolverConfig(epsilon=0.1, variant=FIXED, fixed_M=bad)
 
     def test_record_trace_off_keeps_result(self, quad_problem, monkeypatch):
-        # the objective is evaluated only for trace rows: once per step, or never
-        calls = []
-        value = QuadraticObjective.value
+        # trace rows take f from one value_batch call per block of
+        # TRACE_BLOCK iterates; an untraced run evaluates the objective never
+        value_calls = []
+        batch_rows = []
+        value_batch = QuadraticObjective.value_batch
 
-        def counted(objective, x):
-            calls.append(1)
-            return value(objective, x)
+        def counted_batch(objective, points):
+            batch_rows.append(len(points))
+            return value_batch(objective, points)
 
-        monkeypatch.setattr(QuadraticObjective, "value", counted)
+        value = counting(value_calls, QuadraticObjective.value)
+        monkeypatch.setattr(QuadraticObjective, "value", value)
+        monkeypatch.setattr(QuadraticObjective, "value_batch", counted_batch)
         on = solve_adaptive(quad_problem, SolverConfig(epsilon=0.05))
-        assert len(calls) == on.N
-        calls.clear()
+        assert on.N > TRACE_BLOCK
+        assert value_calls == []
+        assert len(batch_rows) == math.ceil(on.N / TRACE_BLOCK)
+        assert max(batch_rows) <= TRACE_BLOCK
+        assert sum(batch_rows) == on.N
+        batch_rows.clear()
         off = solve_adaptive(quad_problem, SolverConfig(epsilon=0.05, record_trace=False))
-        assert len(calls) == 0
+        assert value_calls == [] and batch_rows == []
         assert off.trace == []
         np.testing.assert_array_equal(on.x_bar, off.x_bar)
         assert (on.N, on.N_I, on.M_bar) == (off.N, off.N_I, off.M_bar)
+
+
+def _trace_block_runs():
+    quad = load_fixture(QUADRATIC_N3)
+    column = dataclasses.replace(quad, oracle_mode="column")
+    fixed = SolverConfig(epsilon=0.1, variant=FIXED, fixed_M=uniform_subgradient_bound(quad))
+    generated = generate_instance(40, m_count=6, density=0.2, seed=3, oracle="column")
+    return {
+        "short": (quad, SolverConfig(epsilon=0.2), 11),
+        "two-full-blocks": (quad, SolverConfig(epsilon=0.01, max_iterations=128), 128),
+        "partial-last-block": (quad, SolverConfig(epsilon=0.05), 211),
+        "fixed": (quad, fixed, 124),
+        "linear": (load_fixture(LINEAR_N2), SolverConfig(epsilon=0.05), 1110),
+        "column": (column, SolverConfig(epsilon=0.1, seed=1), 160),
+        "column-n40": (generated, SolverConfig(epsilon=0.1, seed=2), 2802),
+    }
+
+
+class TestTraceBlocks:
+    """Trace f-values come from blocks of iterates; all else is the step's own."""
+
+    RUNS = _trace_block_runs()
+
+    @pytest.mark.parametrize("name", list(RUNS))
+    def test_trace_matches_replay(self, name):
+        problem, config, expected_n = self.RUNS[name]
+        solve = solve_fixed if config.variant == FIXED else solve_adaptive
+        traced = solve(problem, config)
+        assert traced.N == expected_n
+        assert traced.stop_reason == (CAP_REACHED if config.max_iterations else CRITERION_MET)
+        steps = list(mirror_descent_steps(problem, config))
+        assert [(r.k, r.productive, r.M_k, r.h_k, r.g_value) for r in traced.trace] == [
+            (st.k, st.productive, st.M, st.h, st.g_value) for st in steps
+        ]
+        np.testing.assert_allclose(
+            [r.f_value for r in traced.trace],
+            [problem.objective_value(st.x) for st in steps],
+            rtol=1e-12,
+            atol=0,
+        )
+        untraced = solve(problem, dataclasses.replace(config, record_trace=False))
+        np.testing.assert_array_equal(traced.x_bar, untraced.x_bar)
+        assert (traced.N, traced.N_I, traced.M_bar, traced.M_max, traced.stop_reason) == (
+            untraced.N, untraced.N_I, untraced.M_bar, untraced.M_max, untraced.stop_reason
+        )
