@@ -8,15 +8,12 @@ for benchmarks and statistical validation.
 """
 
 from .geometry import (
-    EUCLIDEAN_SIMPLEX,
     Geometry,
     bregman,
     dgf_gradient,
     dgf_minimizer,
     dgf_value,
     dual_norm,
-    entropy_simplex,
-    euclidean_simplex,
     interior_clamp,
     on_simplex,
     project_simplex,
@@ -68,7 +65,6 @@ __all__ = [
     "ADAPTIVE",
     "CAP_REACHED",
     "CRITERION_MET",
-    "EUCLIDEAN_SIMPLEX",
     "FIXED",
     "Geometry",
     "InfeasibleRunError",
@@ -86,8 +82,6 @@ __all__ = [
     "dgf_minimizer",
     "dgf_value",
     "dual_norm",
-    "entropy_simplex",
-    "euclidean_simplex",
     "generate_instance",
     "interior_clamp",
     "load_problem",

@@ -26,9 +26,9 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .fixtures import LINEAR_N2, QUADRATIC_N3, load_fixture
+from .geometry import GEOMETRY_KINDS
 from .oracle import QuadraticObjective, RngStream, unbiasedness_report
 from .problems import (
-    GEOMETRY_KINDS,
     ORACLE_MODES,
     InstanceFormatError,
     InstanceValidationError,

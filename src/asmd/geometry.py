@@ -1,11 +1,14 @@
 """Proximal geometries on the probability simplex.
 
-Two setups are provided:
+Two setups are provided, named by the same kinds that instance files and
+the CLI use (``GEOMETRY_KINDS``):
 
-* ``euclidean-simplex``: potential ``d(x) = ||x||_2^2 / 2``, primal norm l2,
-  prox step realized as a Euclidean projection back onto the simplex.
-* ``entropy-simplex``: potential ``d(x) = sum_i x_i log x_i``, primal norm
-  l1 (dual l-infinity), prox step realized as a multiplicative update.
+* ``euclidean``: potential ``d(x) = ||x||_2^2 / 2``, primal norm l2,
+  prox step realized as a Euclidean projection back onto the simplex;
+  radius bound ``R^2 = 1``.
+* ``entropy``: potential ``d(x) = sum_i x_i log x_i``, primal norm l1
+  (dual l-infinity), prox step realized as a multiplicative update;
+  radius bound ``R^2 = log n``, so it needs n >= 2.
 
 Each geometry bundles the pieces a mirror-descent step needs: the potential
 and its gradient, the induced divergence ``V(x, y)``, the dual norm used to
@@ -27,8 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-EUCLIDEAN_SIMPLEX = "euclidean-simplex"
-ENTROPY_SIMPLEX = "entropy-simplex"
+GEOMETRY_KINDS = ("entropy", "euclidean")
 
 #: Tolerance for simplex membership checks (sum to one, nonnegativity).
 FEASIBILITY_TOL = 1e-8
@@ -42,50 +44,37 @@ INTERIOR_DELTA = 1e-15
 class Geometry:
     """A proximal setup on the n-dimensional probability simplex.
 
-    ``radius_squared`` bounds the divergence from the potential's minimizer
-    to any feasible point and enters both the stepsize rule and the
-    stopping rule of the solvers.
+    ``kind`` is one of ``GEOMETRY_KINDS`` and fixes ``radius_squared``, the
+    bound on the divergence from the potential's minimizer (the uniform
+    point) to any feasible point, which enters both the stepsize rule and
+    the stopping rule of the solvers:
+
+    * Euclidean: 1, since half the squared l2 distance between simplex
+      points is below 1.
+    * Entropy: log(n), the largest divergence from the uniform point. Over
+      arbitrary *pairs* the divergence is unbounded, so log(n) is a working
+      convention rather than a uniform bound. It vanishes at n = 1, so the
+      entropy setup needs n >= 2.
     """
 
     dimension: int
     kind: str
-    radius_squared: float
 
     def __post_init__(self):
         if self.dimension < 1:
             raise ValueError(f"dimension must be at least 1, got {self.dimension}")
-        if self.kind not in (EUCLIDEAN_SIMPLEX, ENTROPY_SIMPLEX):
-            raise ValueError(f"unknown geometry kind {self.kind!r}")
-        if not self.radius_squared > 0:
-            raise ValueError(f"radius_squared must be positive, got {self.radius_squared}")
+        if self.kind not in GEOMETRY_KINDS:
+            raise ValueError(f"geometry must be one of {GEOMETRY_KINDS}, got {self.kind!r}")
+        if self.kind == "entropy" and self.dimension < 2:
+            raise ValueError("entropy geometry needs n >= 2: its radius log(n) vanishes at n = 1")
+
+    @property
+    def radius_squared(self) -> float:
+        return math.log(self.dimension) if self.kind == "entropy" else 1.0
 
     @property
     def radius(self) -> float:
         return math.sqrt(self.radius_squared)
-
-
-def euclidean_simplex(dimension: int, radius_squared: float | None = None) -> Geometry:
-    """Euclidean setup; the default radius bound 1 covers the simplex,
-    since half the squared l2 distance between simplex points is below 1."""
-    if radius_squared is None:
-        radius_squared = 1.0
-    return Geometry(dimension, EUCLIDEAN_SIMPLEX, radius_squared)
-
-
-def entropy_simplex(dimension: int, radius_squared: float | None = None) -> Geometry:
-    """Entropy setup; the default radius bound is log(n).
-
-    The divergence from the uniform point to any simplex point is at most
-    log(n), which is the quantity the solver analysis consumes. Over
-    arbitrary *pairs* the divergence is unbounded, so log(n) is a working
-    convention rather than a uniform bound. For n = 1 the default would
-    vanish, so a radius must be supplied explicitly.
-    """
-    if radius_squared is None:
-        if dimension == 1:
-            raise ValueError("entropy geometry with n=1 needs an explicit radius_squared")
-        radius_squared = math.log(dimension)
-    return Geometry(dimension, ENTROPY_SIMPLEX, radius_squared)
 
 
 def _check_vector(geom: Geometry, v, name: str = "x") -> np.ndarray:
@@ -125,7 +114,7 @@ def dgf_value(geom: Geometry, x) -> float:
     convention ``0 log 0 = 0``.
     """
     x = require_feasible(geom, x)
-    if geom.kind == EUCLIDEAN_SIMPLEX:
+    if geom.kind == "euclidean":
         return 0.5 * float(x @ x)
     logs = np.zeros_like(x)
     np.log(x, where=x > 0.0, out=logs)
@@ -135,7 +124,7 @@ def dgf_value(geom: Geometry, x) -> float:
 def dgf_gradient(geom: Geometry, x) -> np.ndarray:
     """Gradient of the potential; entropy input is clamped off the boundary."""
     x = _check_vector(geom, x)
-    if geom.kind == EUCLIDEAN_SIMPLEX:
+    if geom.kind == "euclidean":
         return x.copy()
     return 1.0 + np.log(interior_clamp(x))
 
@@ -150,7 +139,7 @@ def bregman(geom: Geometry, x, y) -> float:
     """
     x = _check_vector(geom, x)
     y = _check_vector(geom, y, "y")
-    if geom.kind == EUCLIDEAN_SIMPLEX:
+    if geom.kind == "euclidean":
         d = y - x
         return 0.5 * float(d @ d)
     xc = interior_clamp(x)
@@ -219,8 +208,8 @@ def prox_map(geom: Geometry, x, y) -> np.ndarray:
 #: Check-free kernels by geometry kind. ``prox(x, y)`` trusts x to be a
 #: point of the simplex and y a finite vector of the same shape; ``norm(g)``
 #: trusts g to be a non-empty float vector.
-PROX_KERNELS = {EUCLIDEAN_SIMPLEX: _prox_euclidean, ENTROPY_SIMPLEX: _prox_entropy}
-DUAL_NORM_KERNELS = {EUCLIDEAN_SIMPLEX: _norm_l2, ENTROPY_SIMPLEX: _norm_linf}
+PROX_KERNELS = {"entropy": _prox_entropy, "euclidean": _prox_euclidean}
+DUAL_NORM_KERNELS = {"entropy": _norm_linf, "euclidean": _norm_l2}
 
 
 def dgf_minimizer(geom: Geometry) -> np.ndarray:

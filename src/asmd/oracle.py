@@ -1,10 +1,11 @@
 """First-order oracles for simplex-constrained problems.
 
 Objectives come in two flavors. ``QuadraticObjective`` is the form
-``x' A x / 2`` with exact gradient ``A x`` and, alternatively, a
-column-sampling estimator: one column of A drawn with probability given by
-the current simplex point is an unbiased estimate of the gradient at O(n)
-cost. ``LinearObjective`` is ``<c, x>`` with a constant gradient.
+``x' A x / 2`` with exact gradient ``A x``; one column of A drawn with
+probability given by the current simplex point is an unbiased estimate of
+that gradient at O(n) cost (the column oracle, drawn by
+``ProblemInstance.objective_sample``). ``LinearObjective`` is ``<c, x>``
+with a constant gradient.
 
 ``MaxLinearConstraint`` is a pointwise maximum of affine forms evaluated
 exactly. Sparse directions plus scalar offsets are its stored and file
@@ -14,19 +15,22 @@ them at construction. One evaluation yields both the value and the active
 term, whose dense shifted direction is the constraint subgradient.
 
 Oracles return plain arrays and check their data once, at construction:
-finite data yields finite samples. They are immutable after construction;
-their matrices are read-only, so a column sample is a row view of the
-(exactly symmetric) quadratic matrix, not a copy. The public samplers
-check that the point is a distribution. The solver's step draws through
-``draw_index``, which makes no check, because its iterates are on the
-simplex by construction. Randomness is confined to ``RngStream`` objects
-owned by each solver run, so concurrent runs with distinct streams never
-interact.
+finite data yields finite samples. They are immutable after construction:
+every array they hold is a read-only copy of the caller's data, so a
+column sample is a row view of the (exactly symmetric) quadratic matrix
+and a linear gradient is the coefficient vector itself, not copies.
+
+Index draws have one CDF scan, ``draw_index``, which makes no check. The
+public samplers ``sample_simplex_index`` and ``sample_simplex_indices``
+check that the point is a distribution first; the solver's step calls
+``draw_index`` directly, because its iterates are on the simplex by
+construction. Randomness is confined to ``RngStream`` objects owned by
+each solver run, so concurrent runs with distinct streams never interact.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +42,6 @@ class RngStream:
     the same samples bit for bit."""
 
     seed: int
-    draws: int = field(default=0, init=False)
 
     def __post_init__(self):
         if not 0 <= int(self.seed) < 2**64:
@@ -48,7 +51,6 @@ class RngStream:
     def uniform(self, size: int | None = None):
         """Uniform draws in [0, 1); a sized call consumes the stream exactly
         like the same number of scalar calls."""
-        self.draws += 1 if size is None else int(size)
         return self._gen.random(size=size)
 
 
@@ -79,12 +81,16 @@ def _as_distribution(x) -> np.ndarray:
     return p
 
 
-def draw_index(p: np.ndarray, rng: RngStream) -> int:
+def draw_index(p: np.ndarray, rng: RngStream, size: int | None = None) -> int | np.ndarray:
     """Index i drawn with probability ``p_i / sum(p)`` via one uniform and a
-    CDF scan, without checks: p must be nonnegative with a normal total."""
+    CDF scan, without checks: p must be nonnegative with a normal total.
+
+    With ``size``, an array of that many indices from one stream block.
+    """
     cdf = np.cumsum(p)
-    u = rng.uniform() * cdf[-1]
-    return int(np.searchsorted(cdf, u, side="right"))
+    u = rng.uniform(size) * cdf[-1]
+    idx = np.searchsorted(cdf, u, side="right")
+    return int(idx) if size is None else idx
 
 
 def sample_simplex_index(x, rng: RngStream) -> int:
@@ -97,9 +103,7 @@ def sample_simplex_index(x, rng: RngStream) -> int:
 
 def sample_simplex_indices(x, rng: RngStream, size: int) -> np.ndarray:
     """Vectorized form of ``sample_simplex_index`` reading one stream block."""
-    cdf = np.cumsum(_as_distribution(x))
-    u = rng.uniform(size=size) * cdf[-1]
-    return np.searchsorted(cdf, u, side="right")
+    return draw_index(_as_distribution(x), rng, size)
 
 
 class QuadraticObjective:
@@ -138,12 +142,6 @@ class QuadraticObjective:
         """Exact gradient ``A x`` (O(n^2) dense)."""
         return self.matrix @ _check_point(x, self.dimension)
 
-    def column_sample(self, x, rng: RngStream) -> np.ndarray:
-        """Unbiased O(n) gradient estimate: column i of A drawn with
-        probability x_i, returned as a read-only view of row i. Requires x
-        to be (numerically) a distribution."""
-        return self.matrix[sample_simplex_index(_check_point(x, self.dimension), rng)]
-
 
 class LinearObjective:
     """Linear objective ``<c, x>`` with constant exact gradient c."""
@@ -154,6 +152,7 @@ class LinearObjective:
             raise ValueError("coefficients must be a vector")
         if not np.isfinite(c).all():
             raise ValueError("coefficients have non-finite entries")
+        c.flags.writeable = False
         self.coefficients = c
         self.dimension = c.size
 
@@ -164,8 +163,9 @@ class LinearObjective:
         return points @ self.coefficients
 
     def gradient(self, x) -> np.ndarray:
+        """The read-only coefficient vector itself."""
         _check_point(x, self.dimension)
-        return self.coefficients.copy()
+        return self.coefficients
 
 
 class MaxLinearConstraint:
@@ -177,10 +177,10 @@ class MaxLinearConstraint:
     ``term_matrix @ x - offsets`` (row m of ``term_matrix`` is c_m), exact
     off the simplex too. Row m of ``directions`` is ``c_m - b_m * ones``;
     on the simplex it induces the same values, and it is the subgradient
-    the solver applies and whose dual norm it records. Both matrices are
-    read-only, so callers may hold rows without copying. Argmax ties break
-    to the smallest index so traces are reproducible (any maximizer is a
-    valid subgradient).
+    the solver applies and whose dual norm it records. Every array it
+    holds is read-only, so callers may hold rows without copying. Argmax
+    ties break to the smallest index so traces are reproducible (any
+    maximizer is a valid subgradient).
 
     Evaluation is exact and deterministic: this oracle is the zero-noise
     special case of the sampling contract.
@@ -221,9 +221,11 @@ class MaxLinearConstraint:
                 raise ValueError(f"term {pos}: index out of range for dimension {dimension}")
             if not np.isfinite(val).all():
                 raise ValueError(f"term {pos}: non-finite values")
+            idx.flags.writeable = False
+            val.flags.writeable = False
             terms.append((idx, val))
         self.dimension = dimension
-        self.terms = terms
+        self.terms = tuple(terms)
         self.offsets = offs
         raw = np.zeros((offs.size, dimension))
         with np.errstate(over="ignore"):
@@ -233,8 +235,8 @@ class MaxLinearConstraint:
         # an overflowing raw entry (repeated indices) overflows its shifted row too
         if not np.isfinite(shifted).all():
             raise ValueError("shifted directions c_m - b_m overflow")
-        raw.flags.writeable = False
-        shifted.flags.writeable = False
+        for array in (offs, raw, shifted):
+            array.flags.writeable = False
         self.term_matrix = raw
         self.directions = shifted
 
@@ -259,14 +261,6 @@ class MaxLinearConstraint:
     def value_batch(self, points: np.ndarray) -> np.ndarray:
         """Value at each row of ``points``: the same product over the stack."""
         return (points @ self.term_matrix.T - self.offsets).max(axis=1)
-
-    def argmax_term(self, x) -> int:
-        """Index of the active term; ties resolve to the smallest index."""
-        return self.value_and_argmax(x)[1]
-
-    def subgradient(self, x) -> np.ndarray:
-        """Dense subgradient: the shifted direction of the active term."""
-        return self.directions[self.argmax_term(x)].copy()
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import geometry as geom_mod
-from .geometry import Geometry, on_simplex
+from .geometry import DUAL_NORM_KERNELS, Geometry, on_simplex
 from .oracle import (
     LinearObjective,
     MaxLinearConstraint,
@@ -31,13 +30,7 @@ from .oracle import (
 )
 from .serialize import atomic_write_text, canonical_json
 
-GEOMETRY_KINDS = ("entropy", "euclidean")
 ORACLE_MODES = ("exact", "column")
-
-_GEOMETRY_FACTORY = {
-    "entropy": geom_mod.entropy_simplex,
-    "euclidean": geom_mod.euclidean_simplex,
-}
 
 
 class InstanceFormatError(ValueError):
@@ -64,16 +57,15 @@ class ProblemInstance:
         self.validate()
 
     def validate(self) -> None:
-        if self.geometry_kind not in GEOMETRY_KINDS:
-            raise InstanceValidationError(
-                f"geometry must be one of {GEOMETRY_KINDS}, got {self.geometry_kind!r}"
-            )
+        # the geometry is the one check of the dimension and the kind
+        try:
+            self.geometry()
+        except ValueError as exc:
+            raise InstanceValidationError(str(exc)) from None
         if self.oracle_mode not in ORACLE_MODES:
             raise InstanceValidationError(
                 f"oracle must be one of {ORACLE_MODES}, got {self.oracle_mode!r}"
             )
-        if self.dimension < 1:
-            raise InstanceValidationError(f"dimension must be positive, got {self.dimension}")
         if self.objective.dimension != self.dimension:
             raise InstanceValidationError(
                 f"objective dimension {self.objective.dimension} != n = {self.dimension}"
@@ -98,7 +90,7 @@ class ProblemInstance:
     # -- solver-facing oracle surface -------------------------------------
 
     def geometry(self) -> Geometry:
-        return _GEOMETRY_FACTORY[self.geometry_kind](self.dimension)
+        return Geometry(self.dimension, self.geometry_kind)
 
     @property
     def is_deterministic(self) -> bool:
@@ -383,7 +375,7 @@ def uniform_subgradient_bound(p: ProblemInstance) -> float:
     columns; the oracles checked every vector at construction, so the
     norms run check-free.
     """
-    norm = geom_mod.DUAL_NORM_KERNELS[p.geometry().kind]
+    norm = DUAL_NORM_KERNELS[p.geometry_kind]
     if isinstance(p.objective, QuadraticObjective):
         obj = max(norm(row) for row in p.objective.matrix)
     else:

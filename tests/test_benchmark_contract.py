@@ -3,12 +3,15 @@
 The benchmark calls ``solver.solve_adaptive`` and ``cli.run_benchmark``
 directly, and runs ``asmd gen`` and ``asmd solve`` through ``cli.main``.
 If one of them changed its signature or behaviour, the benchmark would
-only report failed solves, so the same calls are made here.
+only report failed solves, so the same calls are made here. Its traced
+run also patches names inside the package (``perfbench/tracing.py``); the
+last test runs those patches, so a renamed target fails here too.
 """
 
 import csv
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
@@ -72,3 +75,27 @@ def test_cli_gen_and_solve_calls(tmp_path, capsys):
     # several blocks of trace f-values, the last one partial
     assert lengths[0] == 1
     assert lengths[1] > solver.TRACE_BLOCK and lengths[1] % solver.TRACE_BLOCK != 0
+
+
+def test_traced_run_patches(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import tracing
+
+    tracer = tracing.Tracer()
+    with tracer.patched():
+        problem = problems.generate_instance(
+            n=6, m_count=10, density=0.1, seed=7, oracle="column")
+        config = solver.SolverConfig(epsilon=EPSILON, seed=0, record_trace=False)
+        result = solver.solve_adaptive(problem, config)
+        rows = cli.run_benchmark(
+            problem, EPSILON, 1, ["adaptive"], ["column"], base_seed=3, jobs=1)
+    assert result.stop_reason == solver.CRITERION_MET
+    assert [row.status for row in rows] == ["ok"]
+    assert tracer.counts["problems.instances"] == 1
+    assert tracer.counts["problems.instance_bytes"] == tracing.instance_nbytes(problem) > 0
+    solves = 1 + rows[0].seeds_run
+    metrics, min_self = tracer.layer_metrics(solves, result.N, result.N_I)
+    assert metrics["oracle.rng.draws"][0] > 0
+    assert metrics["oracle.objective_sample.calls"][0] > 0
+    assert metrics["cli.run_benchmark.calls"][0] > 0
+    assert min_self >= 0

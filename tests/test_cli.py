@@ -147,6 +147,19 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and field in err
 
+    def test_entropy_n1_file_rejected_at_load(self, tmp_path, capsys):
+        doc = {"name": "n1", "n": 1, "objective": {"type": "linear", "c": [0.5]},
+               "constraints": {"sparse": [{"indices": [], "values": []}], "offsets": [1.0]},
+               "geometry": "entropy", "oracle": "exact", "witness": [1.0], "margin": 1.0}
+        inst = tmp_path / "n1.json"
+        inst.write_text(json.dumps(doc))
+        assert run_cli("solve", "--problem", inst, "--epsilon", 0.1) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "n >= 2" in err
+        # the same file with the Euclidean setup solves
+        inst.write_text(json.dumps(dict(doc, geometry="euclidean")))
+        assert run_cli("solve", "--problem", inst, "--epsilon", 0.1) == 0
+
     def test_fixed_without_bound_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:
             run_cli("solve", "--problem", fixture_path(LINEAR_N2), "--epsilon", 0.1,

@@ -6,44 +6,51 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asmd.geometry import (
-    EUCLIDEAN_SIMPLEX,
+    DUAL_NORM_KERNELS,
+    GEOMETRY_KINDS,
+    PROX_KERNELS,
     Geometry,
     bregman,
     dgf_gradient,
     dgf_minimizer,
     dgf_value,
     dual_norm,
-    entropy_simplex,
-    euclidean_simplex,
     interior_clamp,
     on_simplex,
     project_simplex,
     prox_map,
 )
 
-ENT2 = entropy_simplex(2)
-EUC2 = euclidean_simplex(2)
+ENT2 = Geometry(2, "entropy")
+EUC2 = Geometry(2, "euclidean")
 
 
 class TestGeometryConstruction:
     def test_defaults(self):
-        assert euclidean_simplex(5).radius_squared == 1.0
-        assert entropy_simplex(5).radius_squared == math.log(5)
-        assert entropy_simplex(3).radius == math.sqrt(math.log(3))
+        # the kind alone sets the radius, bit for bit
+        for n in (2, 3, 5, 50, 2000):
+            assert Geometry(n, "euclidean").radius_squared == 1.0
+            assert Geometry(n, "euclidean").radius == 1.0
+            assert Geometry(n, "entropy").radius_squared == math.log(n)
+            assert Geometry(n, "entropy").radius == math.sqrt(math.log(n))
 
-    def test_entropy_n1_needs_explicit_radius(self):
-        with pytest.raises(ValueError):
-            entropy_simplex(1)
-        geom = entropy_simplex(1, radius_squared=1.0)
+    def test_entropy_needs_two_coordinates(self):
+        # log(1) = 0 would be no radius at all
+        with pytest.raises(ValueError, match="n >= 2"):
+            Geometry(1, "entropy")
+        geom = Geometry(1, "euclidean")
         assert geom.dimension == 1
+        assert geom.radius == 1.0
 
     def test_invalid(self):
         with pytest.raises(ValueError):
-            Geometry(0, EUCLIDEAN_SIMPLEX, 1.0)
-        with pytest.raises(ValueError):
-            Geometry(2, "box", 1.0)
-        with pytest.raises(ValueError):
-            Geometry(2, EUCLIDEAN_SIMPLEX, 0.0)
+            Geometry(0, "euclidean")
+        for kind in ("box", "entropy-simplex", "euclidean-simplex"):
+            with pytest.raises(ValueError, match="geometry must be one of"):
+                Geometry(2, kind)
+
+    def test_kernels_keyed_by_the_kinds(self):
+        assert set(PROX_KERNELS) == set(DUAL_NORM_KERNELS) == set(GEOMETRY_KINDS)
 
 
 class TestDgfValue:
@@ -85,7 +92,7 @@ class TestBregman:
         with pytest.raises(ValueError):
             bregman(ENT2, [0.5, 0.5], [0.2, 0.3, 0.5])
 
-    @pytest.mark.parametrize("geom", [entropy_simplex(6), euclidean_simplex(6)])
+    @pytest.mark.parametrize("geom", [Geometry(6, "entropy"), Geometry(6, "euclidean")])
     def test_nonnegative_and_definite(self, geom):
         rng = np.random.default_rng(7)
         pts = rng.dirichlet(np.ones(6), size=2000)
@@ -96,14 +103,14 @@ class TestBregman:
             if np.abs(x - y).max() > 1e-3:
                 assert v > 1e-12
 
-    @pytest.mark.parametrize("geom", [entropy_simplex(6), euclidean_simplex(6)])
+    @pytest.mark.parametrize("geom", [Geometry(6, "entropy"), Geometry(6, "euclidean")])
     def test_strong_convexity_modulus_one(self, geom):
         rng = np.random.default_rng(8)
         pts = rng.dirichlet(np.ones(6), size=2000)
         for i in range(1000):
             x, y = pts[2 * i], pts[2 * i + 1]
             diff = y - x
-            if geom.kind == EUCLIDEAN_SIMPLEX:
+            if geom.kind == "euclidean":
                 sq = float(diff @ diff)
             else:
                 sq = float(np.abs(diff).sum()) ** 2
@@ -127,7 +134,7 @@ class TestDualNorm:
         # unit-primal-norm directions, up to sampling slack
         n = 4
         rng = np.random.default_rng(11)
-        geom = entropy_simplex(n) if kind == "entropy" else euclidean_simplex(n)
+        geom = Geometry(n, kind)
         for _ in range(5):
             g = rng.standard_normal(n) * 3.0
             target = dual_norm(geom, g)
@@ -169,7 +176,7 @@ class TestProxMap:
 
     def test_entropy_overflow_guard(self):
         # huge dual inputs must not overflow thanks to the max shift
-        geom = entropy_simplex(3)
+        geom = Geometry(3, "entropy")
         u = prox_map(geom, [1 / 3, 1 / 3, 1 / 3], [1e6, 0.0, -1e6])
         assert np.isfinite(u).all()
         assert u[2] == pytest.approx(1.0, abs=1e-12)
@@ -177,7 +184,7 @@ class TestProxMap:
     @pytest.mark.parametrize("kind", ["entropy", "euclidean"])
     def test_feasible_output(self, kind):
         n = 5
-        geom = entropy_simplex(n) if kind == "entropy" else euclidean_simplex(n)
+        geom = Geometry(n, kind)
         rng = np.random.default_rng(12)
         for _ in range(300):
             x = rng.dirichlet(np.ones(n))
@@ -189,7 +196,7 @@ class TestProxMap:
     @pytest.mark.parametrize("kind", ["entropy", "euclidean"])
     def test_optimality_condition(self, kind):
         n = 4
-        geom = entropy_simplex(n) if kind == "entropy" else euclidean_simplex(n)
+        geom = Geometry(n, kind)
         rng = np.random.default_rng(13)
         for _ in range(10):
             x = rng.dirichlet(np.ones(n))
@@ -205,13 +212,15 @@ class TestDgfMinimizer:
         np.testing.assert_array_equal(dgf_minimizer(ENT2), [0.5, 0.5])
 
     def test_euclidean_four(self):
-        np.testing.assert_array_equal(dgf_minimizer(euclidean_simplex(4)), [0.25] * 4)
+        np.testing.assert_array_equal(dgf_minimizer(Geometry(4, "euclidean")), [0.25] * 4)
 
     def test_singleton(self):
-        geom = entropy_simplex(1, radius_squared=1.0)
+        geom = Geometry(1, "euclidean")
         np.testing.assert_array_equal(dgf_minimizer(geom), [1.0])
+        with pytest.raises(ValueError):
+            Geometry(1, "entropy")
 
-    @pytest.mark.parametrize("geom", [entropy_simplex(7), euclidean_simplex(7)])
+    @pytest.mark.parametrize("geom", [Geometry(7, "entropy"), Geometry(7, "euclidean")])
     def test_radius_bound_from_minimizer(self, geom):
         rng = np.random.default_rng(14)
         start = dgf_minimizer(geom)

@@ -12,6 +12,7 @@ from asmd.oracle import (
 )
 from asmd.problems import (
     InstanceValidationError,
+    ProblemInstance,
     generate_instance,
     problem_from_document,
     problem_to_document,
@@ -30,6 +31,27 @@ def make_constraint(rows, offsets=None):
     return MaxLinearConstraint(terms, offsets, rows.shape[1])
 
 
+def column_problem(matrix):
+    """A column-oracle instance on ``matrix`` whose constraint never binds."""
+    objective = QuadraticObjective(matrix)
+    n = objective.dimension
+    return ProblemInstance(
+        name="columns",
+        dimension=n,
+        objective=objective,
+        constraint=MaxLinearConstraint([([], [])], [1.0], n),
+        geometry_kind="entropy",
+        oracle_mode="column",
+        feasible_witness=np.full(n, 1.0 / n),
+        margin=1.0,
+    )
+
+
+def active_direction(c, x):
+    """The constraint subgradient at x: the active term's shifted direction."""
+    return c.directions[c.value_and_argmax(x)[1]]
+
+
 class TestRngStream:
     def test_seed_validation(self):
         with pytest.raises(ValueError):
@@ -46,7 +68,8 @@ class TestRngStream:
         block = a.uniform(size=50)
         singles = np.array([b.uniform() for _ in range(50)])
         np.testing.assert_array_equal(block, singles)
-        assert a.draws == b.draws == 50
+        # both streams advanced by the same 50 draws
+        assert a.uniform() == b.uniform()
 
 
 class TestQuadraticObjective:
@@ -102,27 +125,31 @@ class TestQuadraticObjective:
 
 class TestColumnSampling:
     def test_degenerate_distribution(self):
-        q = QuadraticObjective([[1.0, 5.0], [5.0, 2.0]])
+        p = column_problem([[1.0, 5.0], [5.0, 2.0]])
+        x = np.array([1.0, 0.0])
         rng = RngStream(3)
         for _ in range(50):
-            np.testing.assert_array_equal(q.column_sample([1.0, 0.0], rng), q.matrix[:, 0])
+            assert sample_simplex_index(x, rng) == 0
+            np.testing.assert_array_equal(p.objective_sample(x, rng), p.objective.matrix[:, 0])
 
     def test_sample_is_read_only_row_view(self):
-        q = QuadraticObjective([[1.0, 2.0, 0.0], [2.0, 3.0, -1.0], [0.0, -1.0, 4.0]])
+        p = column_problem([[1.0, 2.0, 0.0], [2.0, 3.0, -1.0], [0.0, -1.0, 4.0]])
+        matrix = p.objective.matrix
         for i in range(3):
-            sample = q.column_sample(np.eye(3)[i], RngStream(i))
-            assert np.shares_memory(sample, q.matrix)
-            np.testing.assert_array_equal(sample, q.matrix[:, i])
+            sample = p.objective_sample(np.eye(3)[i], RngStream(i))
+            assert np.shares_memory(sample, matrix)
+            np.testing.assert_array_equal(sample, matrix[:, i])
             with pytest.raises(ValueError):
                 sample[0] = 5.0
         with pytest.raises(ValueError):
-            q.matrix[0, 1] = 5.0
+            matrix[0, 1] = 5.0
 
     def test_identical_columns(self):
-        q = QuadraticObjective(np.ones((2, 2)))
+        p = column_problem(np.ones((2, 2)))
+        x = np.array([0.3, 0.7])
         rng = RngStream(4)
         for _ in range(50):
-            np.testing.assert_array_equal(q.column_sample([0.3, 0.7], rng), [1.0, 1.0])
+            np.testing.assert_array_equal(p.objective_sample(x, rng), [1.0, 1.0])
 
     def test_monte_carlo_mean_matches_gradient(self):
         q = QuadraticObjective([[0.0, 2.0], [2.0, 0.0]])
@@ -190,23 +217,25 @@ class TestLinearObjective:
         assert obj.value([0.25, 0.75]) == 0.75
         np.testing.assert_array_equal(obj.gradient([0.25, 0.75]), [0.0, 1.0])
 
-    def test_gradient_copy_is_independent(self):
+    def test_gradient_is_read_only(self):
         obj = LinearObjective([1.0, 2.0])
         g = obj.gradient([0.5, 0.5])
-        g[0] = 99.0
-        assert obj.coefficients[0] == 1.0
+        with pytest.raises(ValueError):
+            g[0] = 99.0
+        np.testing.assert_array_equal(obj.coefficients, [1.0, 2.0])
+        np.testing.assert_array_equal(obj.gradient([0.5, 0.5]), [1.0, 2.0])
 
 
 class TestMaxLinearConstraint:
     def test_max_of_two(self):
         c = make_constraint([[1.0, 0.0], [0.0, 2.0]])
         assert c.value([0.5, 0.5]) == 1.0
-        np.testing.assert_array_equal(c.subgradient([0.5, 0.5]), [0.0, 2.0])
+        np.testing.assert_array_equal(active_direction(c, [0.5, 0.5]), [0.0, 2.0])
 
     def test_zero_functional(self):
         c = MaxLinearConstraint([([], [])], [0.0], 2)
         assert c.value([0.4, 0.6]) == 0.0
-        np.testing.assert_array_equal(c.subgradient([0.4, 0.6]), [0.0, 0.0])
+        np.testing.assert_array_equal(active_direction(c, [0.4, 0.6]), [0.0, 0.0])
 
     def test_constant_on_simplex(self):
         c = make_constraint([[-1.0, -1.0]])
@@ -214,17 +243,17 @@ class TestMaxLinearConstraint:
 
     def test_tie_breaks_to_smallest_index(self):
         c = make_constraint([[1.0, 0.0], [1.0, 0.0]])
-        assert c.argmax_term([0.5, 0.5]) == 0
-        np.testing.assert_array_equal(c.subgradient([0.5, 0.5]), [1.0, 0.0])
+        assert c.value_and_argmax([0.5, 0.5])[1] == 0
+        np.testing.assert_array_equal(active_direction(c, [0.5, 0.5]), [1.0, 0.0])
 
     def test_single_term(self):
         c = make_constraint([[3.0, -1.0]])
-        np.testing.assert_array_equal(c.subgradient([0.9, 0.1]), [3.0, -1.0])
+        np.testing.assert_array_equal(active_direction(c, [0.9, 0.1]), [3.0, -1.0])
 
     def test_offsets_shift_dense_directions(self):
         c = MaxLinearConstraint([([0], [1.0])], [0.6], 2)
         assert c.value([1.0, 0.0]) == pytest.approx(0.4, abs=1e-15)
-        np.testing.assert_allclose(c.subgradient([1.0, 0.0]), [0.4, -0.6], atol=1e-15)
+        np.testing.assert_allclose(active_direction(c, [1.0, 0.0]), [0.4, -0.6], atol=1e-15)
 
     def test_subgradient_inequality(self):
         rng = np.random.default_rng(16)
@@ -233,7 +262,7 @@ class TestMaxLinearConstraint:
         pts = rng.dirichlet(np.ones(5), size=2000)
         for i in range(1000):
             x, y = pts[2 * i], pts[2 * i + 1]
-            lower = c.value(x) + float(c.subgradient(x) @ (y - x))
+            lower = c.value(x) + float(active_direction(c, x) @ (y - x))
             assert c.value(y) >= lower - 1e-10
 
     def test_dense_evaluation_matches_sparse_pairs(self):
@@ -275,3 +304,31 @@ class TestMaxLinearConstraint:
         doc["constraints"] = {"sparse": [{"indices": [0], "values": [1e308]}], "offsets": [-1e308]}
         with pytest.raises(InstanceValidationError, match="overflow"):
             problem_from_document(doc)
+
+
+def test_oracle_arrays_refuse_writes():
+    p = generate_instance(n=6, m_count=3, density=0.5, seed=7)
+    c = p.constraint
+    g_before = c.value(np.full(6, 1.0 / 6))
+    arrays = [p.objective.matrix, c.offsets, c.term_matrix, c.directions]
+    arrays += [a for term in c.terms for a in term]
+    arrays.append(LinearObjective([1.0, 2.0]).coefficients)
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[...] = 0.0
+    # a shifted offset or a replaced term would leave the dense rows stale
+    with pytest.raises(ValueError):
+        c.offsets[0] -= 10
+    with pytest.raises(TypeError):
+        c.terms[0] = c.terms[1]
+    assert c.value(np.full(6, 1.0 / 6)) == g_before
+
+
+def test_construction_leaves_caller_arrays_writable():
+    idx, val = np.array([0, 1]), np.array([1.0, -1.0])
+    offsets, coefficients = np.zeros(1), np.ones(2)
+    MaxLinearConstraint([(idx, val)], offsets, 2)
+    LinearObjective(coefficients)
+    for a in (idx, val, offsets, coefficients):
+        assert a.flags.writeable

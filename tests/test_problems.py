@@ -111,6 +111,21 @@ class TestValidation:
         with pytest.raises(InstanceValidationError):
             dataclasses.replace(p, oracle_mode="hessian")
 
+    @pytest.mark.parametrize("kind", ["entropy", "euclidean"])
+    def test_geometry_takes_the_file_kind(self, kind, quad_problem, linear_problem):
+        for base in (quad_problem, linear_problem):
+            p = dataclasses.replace(base, geometry_kind=kind)
+            assert p.geometry().kind == p.geometry_kind == kind
+            assert p.geometry().dimension == p.dimension
+
+    def test_entropy_needs_two_coordinates(self):
+        doc = problem_to_document(tiny_linear_problem())
+        doc.update(n=1, witness=[1.0], objective={"type": "linear", "c": [0.5]})
+        with pytest.raises(InstanceValidationError, match="n >= 2"):
+            problem_from_document(doc)
+        doc["geometry"] = "euclidean"
+        assert problem_from_document(doc).geometry().radius == 1.0
+
 
 class TestFileRoundTrip:
     def test_round_trip_generated(self, tmp_path):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from asmd import geometry, oracle, problems, solver
 from asmd.fixtures import LINEAR_N2, QUADRATIC_N3, load_fixture
-from asmd.geometry import dgf_minimizer, dual_norm, entropy_simplex, on_simplex, prox_map
+from asmd.geometry import Geometry, dgf_minimizer, dual_norm, on_simplex, prox_map
 from asmd.oracle import LinearObjective, MaxLinearConstraint, QuadraticObjective
 from asmd.problems import ProblemInstance, generate_instance, uniform_subgradient_bound
 from asmd.solver import (
@@ -142,12 +142,12 @@ class TestStepsumGap:
 
 class TestMirrorStepResidual:
     def test_zero_gradient_zero_gap(self):
-        geom = entropy_simplex(2)
+        geom = Geometry(2, "entropy")
         x = np.array([0.5, 0.5])
         assert mirror_step_residual(geom, x, x, x, np.zeros(2), 1.0, 0.0) == 0.0
 
     def test_reference_at_current_point(self):
-        geom = entropy_simplex(3)
+        geom = Geometry(3, "entropy")
         rng = np.random.default_rng(31)
         for _ in range(50):
             x = rng.dirichlet(np.ones(3))
@@ -159,7 +159,7 @@ class TestMirrorStepResidual:
     def test_entropy_hand_value(self):
         # linear objective with gradient (1, 0), step from the uniform point,
         # reference (0, 1): closed forms give log(2 / (1 + exp(-1)))
-        geom = entropy_simplex(2)
+        geom = Geometry(2, "entropy")
         x = np.array([0.5, 0.5])
         grad = np.array([1.0, 0.0])
         ref = np.array([0.0, 1.0])
@@ -171,7 +171,7 @@ class TestMirrorStepResidual:
         assert value >= 0.0
 
     def test_nonpositive_step_rejected(self):
-        geom = entropy_simplex(2)
+        geom = Geometry(2, "entropy")
         x = np.array([0.5, 0.5])
         with pytest.raises(ValueError):
             mirror_step_residual(geom, x, x, x, np.zeros(2), 0.0, 0.0)
