@@ -8,7 +8,20 @@ the solvers' guarantees presuppose.
 
 Instance files are JSON documents written through the canonical serializer
 (17 significant digits), so save/load round-trips are bit-exact and
-regeneration with the same arguments is byte-identical.
+regeneration with the same arguments is byte-identical. A quadratic's
+matrix is written as its upper triangle in sparse rows: ``"upper"`` holds
+one ``{"indices": [...], "values": [...]}`` object per matrix row i, with
+the nonzero entries A[i, j], j >= i, at strictly increasing indices (the
+``indices``/``values`` form the constraints use). The reader rebuilds the
+symmetric matrix with two scatters, (i, j) and then (j, i); zeros of
+either sign come back as +0.0, which no product, sample or norm can tell
+apart. It also accepts a dense ``"A"`` and ``"triplets"`` of
+[i, j, value], added up, so older and hand-written files still load.
+
+The reader checks the types of each parsed list at once, from the set of
+its element types: booleans, strings and nested lists are rejected where a
+real or an index is expected, with the field named, and no element is
+checked one at a time in Python.
 """
 
 from __future__ import annotations
@@ -16,6 +29,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -41,7 +55,7 @@ class InstanceValidationError(ValueError):
     """Instance data is structurally sound but internally inconsistent."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProblemInstance:
     name: str
     dimension: int
@@ -53,7 +67,11 @@ class ProblemInstance:
     margin: float
 
     def __post_init__(self):
-        self.feasible_witness = np.asarray(self.feasible_witness, dtype=float)
+        # frozen, so a field changes only through dataclasses.replace, which
+        # validates again; the witness is a read-only copy like the oracle arrays
+        witness = np.array(self.feasible_witness, dtype=float)
+        witness.flags.writeable = False
+        object.__setattr__(self, "feasible_witness", witness)
         self.validate()
 
     def validate(self) -> None:
@@ -169,14 +187,25 @@ def generate_instance(
 # -- file format -----------------------------------------------------------
 
 
+def _upper_rows(matrix: np.ndarray) -> list[dict]:
+    """The nonzero entries A[i, j], j >= i, as one sparse row per i."""
+    rows, cols = np.nonzero(np.triu(matrix))
+    bounds = np.searchsorted(rows, np.arange(1, matrix.shape[0]))
+    return [
+        {"indices": idx, "values": val}
+        for idx, val in zip(np.split(cols, bounds), np.split(matrix[rows, cols], bounds))
+    ]
+
+
 def problem_to_document(p: ProblemInstance) -> dict:
     """The instance as a file document.
 
-    The float fields are the instance's own arrays, not copies, so that
-    ``canonical_json`` writes them through its array path.
+    The numeric fields are arrays (the instance's own, or slices of them),
+    not lists, so that ``canonical_json`` writes them through its array
+    paths.
     """
     if isinstance(p.objective, QuadraticObjective):
-        objective = {"type": "quadratic", "A": p.objective.matrix}
+        objective = {"type": "quadratic", "upper": _upper_rows(p.objective.matrix)}
     else:
         objective = {"type": "linear", "c": p.objective.coefficients}
     return {
@@ -184,10 +213,7 @@ def problem_to_document(p: ProblemInstance) -> dict:
         "n": p.dimension,
         "objective": objective,
         "constraints": {
-            "sparse": [
-                {"indices": idx.tolist(), "values": val}
-                for idx, val in p.constraint.terms
-            ],
+            "sparse": [{"indices": idx, "values": val} for idx, val in p.constraint.terms],
             "offsets": p.constraint.offsets,
         },
         "geometry": p.geometry_kind,
@@ -205,6 +231,122 @@ def _field(doc: dict, key: str, where: str = "document"):
     return doc[key]
 
 
+_REAL_TYPES = (int, float, np.integer, np.floating)
+_INDEX_TYPES = (int, np.integer)
+
+
+def _typed_array(values, where: str, dtype=float, nested: bool = False) -> np.ndarray:
+    """A list (of lists, if ``nested``) or an array of reals, or of indices
+    for ``dtype=np.int64``, as an array of ``dtype``.
+
+    The check reads the set of element types, built in one pass in C, so a
+    boolean, a string or a nested list is rejected without a Python step
+    per element.
+    """
+    allowed, noun = (_REAL_TYPES, "reals") if dtype is float else (_INDEX_TYPES, "integers")
+    try:
+        if isinstance(values, np.ndarray):
+            types = {values.dtype.type}
+        else:
+            types = set(map(type, chain.from_iterable(values) if nested else values))
+        bad = sorted(t.__name__ for t in types if issubclass(t, bool) or not issubclass(t, allowed))
+        if not bad:
+            return np.array(values, dtype=dtype)
+        detail = f"got {', '.join(bad)}"
+    except (TypeError, ValueError, OverflowError) as exc:
+        detail = str(exc)
+    shape = "lists" if nested else "a list"
+    raise InstanceFormatError(f"field '{where}' must be {shape} of {noun}: {detail}")
+
+
+def _real(value, where: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, _REAL_TYPES):
+        raise InstanceFormatError(f"field '{where}' must be a real, got {value!r}")
+    return float(value)
+
+
+def _upper_matrix(rows, n: int) -> np.ndarray:
+    """The symmetric matrix of an ``upper`` list of n sparse rows.
+
+    Rows are checked one by one for their shape, and the entries all at
+    once; an error names the first offending row.
+    """
+    if not isinstance(rows, (list, tuple)) or len(rows) != n:
+        count = len(rows) if isinstance(rows, (list, tuple)) else type(rows).__name__
+        raise InstanceValidationError(
+            f"field 'objective.upper' must hold n = {n} rows, got {count}"
+        )
+    indices, values = [], []
+    for i, row in enumerate(rows):
+        where = f"objective.upper[{i}]"
+        idx, val = _field(row, "indices", where), _field(row, "values", where)
+        try:
+            sizes = len(idx), len(val)
+        except TypeError:
+            raise InstanceFormatError(f"field '{where}' indices and values must be lists") from None
+        if sizes[0] != sizes[1]:
+            raise InstanceValidationError(
+                f"field '{where}' has {sizes[0]} indices but {sizes[1]} values"
+            )
+        indices.append(idx)
+        values.append(val)
+
+    def flat(parts, key, dtype):
+        try:
+            return _typed_array(list(chain.from_iterable(parts)), "objective.upper", dtype)
+        except InstanceFormatError:
+            for i, part in enumerate(parts):
+                _typed_array(part, f"objective.upper[{i}].{key}", dtype)
+            raise
+
+    cols = flat(indices, "indices", np.int64)
+    vals = flat(values, "values", float)
+    rows_of = np.repeat(np.arange(n), [len(idx) for idx in indices])
+    out_of_range = (cols < rows_of) | (cols >= n)
+    unordered = np.zeros(cols.size, dtype=bool)
+    unordered[1:] = (rows_of[1:] == rows_of[:-1]) & (cols[1:] <= cols[:-1])
+    for bad, rule in ((out_of_range, "indices must lie in [i, n)"),
+                      (unordered, "indices must strictly increase")):
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise InstanceValidationError(
+                f"field 'objective.upper[{rows_of[k]}]' {rule}, got index {cols[k]} for n = {n}"
+            )
+    matrix = np.zeros((n, n))
+    matrix[rows_of, cols] = vals
+    matrix[cols, rows_of] = vals
+    return matrix
+
+
+def _quadratic_matrix(objective_doc: dict, n: int) -> np.ndarray:
+    if "upper" in objective_doc:
+        return _upper_matrix(objective_doc["upper"], n)
+    if "A" in objective_doc:
+        matrix = _typed_array(objective_doc["A"], "objective.A", nested=True)
+        if matrix.shape != (n, n):
+            raise InstanceValidationError(
+                f"field 'objective.A' has shape {matrix.shape}, expected ({n}, {n})"
+            )
+        return matrix
+    if "triplets" in objective_doc:
+        matrix = np.zeros((n, n))
+        for pos, triplet in enumerate(objective_doc["triplets"]):
+            where = f"objective.triplets[{pos}]"
+            try:
+                i, j, v = triplet
+            except (TypeError, ValueError):
+                raise InstanceFormatError(f"field '{where}' must be [i, j, value]") from None
+            if not (_is_index(i) and _is_index(j)):
+                raise InstanceFormatError(
+                    f"field '{where}' indices must be integers, got {i!r}, {j!r}"
+                )
+            if not (0 <= i < n and 0 <= j < n):
+                raise InstanceValidationError(f"field '{where}' index out of range for n={n}")
+            matrix[i, j] += _real(v, where)
+        return matrix
+    raise InstanceFormatError("field 'objective' needs 'upper', 'A' or 'triplets'")
+
+
 def problem_from_document(doc) -> ProblemInstance:
     n = _field(doc, "n")
     if not _is_index(n) or n < 1:
@@ -212,36 +354,9 @@ def problem_from_document(doc) -> ProblemInstance:
     objective_doc = _field(doc, "objective")
     obj_type = _field(objective_doc, "type", "objective")
     if obj_type == "quadratic":
-        if "A" in objective_doc:
-            matrix = np.array(objective_doc["A"], dtype=float)
-            if matrix.shape != (n, n):
-                raise InstanceValidationError(
-                    f"field 'objective.A' has shape {matrix.shape}, expected ({n}, {n})"
-                )
-        elif "triplets" in objective_doc:
-            matrix = np.zeros((n, n))
-            for pos, triplet in enumerate(objective_doc["triplets"]):
-                try:
-                    i, j, v = triplet
-                except (TypeError, ValueError):
-                    raise InstanceFormatError(
-                        f"field 'objective.triplets[{pos}]' must be [i, j, value]"
-                    ) from None
-                if not (_is_index(i) and _is_index(j)):
-                    raise InstanceFormatError(
-                        f"field 'objective.triplets[{pos}]' indices must be integers, "
-                        f"got {i!r}, {j!r}"
-                    )
-                if not (0 <= i < n and 0 <= j < n):
-                    raise InstanceValidationError(
-                        f"field 'objective.triplets[{pos}]' index out of range for n={n}"
-                    )
-                matrix[i, j] += float(v)
-        else:
-            raise InstanceFormatError("field 'objective' needs 'A' or 'triplets'")
-        objective = QuadraticObjective(matrix)
+        objective = QuadraticObjective(_quadratic_matrix(objective_doc, n))
     elif obj_type == "linear":
-        c = np.array(_field(objective_doc, "c", "objective"), dtype=float)
+        c = _typed_array(_field(objective_doc, "c", "objective"), "objective.c")
         if c.shape != (n,):
             raise InstanceValidationError(
                 f"field 'objective.c' has length {c.size}, expected {n}"
@@ -253,13 +368,16 @@ def problem_from_document(doc) -> ProblemInstance:
         )
     constraints_doc = _field(doc, "constraints")
     sparse = _field(constraints_doc, "sparse", "constraints")
-    offsets = _field(constraints_doc, "offsets", "constraints")
+    offsets = _typed_array(
+        _field(constraints_doc, "offsets", "constraints"), "constraints.offsets"
+    )
     terms = []
     for pos, term in enumerate(sparse):
+        where = f"constraints.sparse[{pos}]"
         terms.append(
             (
-                _field(term, "indices", f"constraints.sparse[{pos}]"),
-                _field(term, "values", f"constraints.sparse[{pos}]"),
+                _field(term, "indices", where),
+                _typed_array(_field(term, "values", where), f"{where}.values"),
             )
         )
     try:
@@ -274,8 +392,8 @@ def problem_from_document(doc) -> ProblemInstance:
             constraint=constraint,
             geometry_kind=_field(doc, "geometry"),
             oracle_mode=_field(doc, "oracle"),
-            feasible_witness=np.array(_field(doc, "witness"), dtype=float),
-            margin=float(_field(doc, "margin")),
+            feasible_witness=_typed_array(_field(doc, "witness"), "witness"),
+            margin=_real(_field(doc, "margin"), "margin"),
         )
     except InstanceValidationError:
         raise

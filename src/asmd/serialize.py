@@ -9,8 +9,9 @@ exact same double.
 bytes for both. A 1-D float array takes an array path: one ``isfinite``
 check for the whole row, zeros written as ``0.0`` or ``-0.0`` by their
 sign bit, and only the nonzero entries passed through ``format_real``.
-That is what makes the mostly-zero matrices of instance files cheap to
-write. Higher-rank arrays are rendered row by row, one row per line, and
+A 1-D integer array is written from its ``tolist()`` in one join. That is
+what makes the sparse rows of instance files cheap to write. Higher-rank
+arrays are rendered row by row, one row per line, and
 are never flattened into one list of strings.
 """
 
@@ -68,6 +69,8 @@ def _render(obj, indent: int) -> str:
     if isinstance(obj, np.ndarray):
         if obj.ndim == 1 and obj.dtype.kind == "f":
             return _render_reals(obj)
+        if obj.ndim == 1 and obj.dtype.kind in "iu":
+            return "[" + ", ".join(map(str, obj.tolist())) + "]"
         # higher ranks go row by row, so float rows still take the array path
         obj = list(obj) if obj.ndim > 1 else obj.tolist()
     if isinstance(obj, (list, tuple)):

@@ -147,6 +147,44 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and field in err
 
+    @pytest.mark.parametrize(
+        "upper, field",
+        [
+            pytest.param([[[0], [1.0]]], "objective.upper'", id="row-count"),
+            pytest.param([[[], []], [[0], [1.0]]], "objective.upper[1]'", id="below-diagonal"),
+            pytest.param([[[2], [1.0]], [[], []]], "objective.upper[0]'", id="index-n"),
+            pytest.param([[[], []], [[1, 1], [1.0, 1.0]]], "objective.upper[1]'",
+                         id="duplicate-index"),
+            pytest.param([[[1, 0], [1.0, 1.0]], [[], []]], "objective.upper[0]'",
+                         id="decreasing-index"),
+            pytest.param([[[0, 1], [1.0]], [[], []]], "objective.upper[0]'", id="lengths"),
+            pytest.param([[[True], [1.0]], [[], []]], "objective.upper[0].indices'",
+                         id="bool-index"),
+            pytest.param([[[], []], [[1], ["1.5"]]], "objective.upper[1].values'",
+                         id="string-value"),
+        ],
+    )
+    def test_bad_upper_row_is_rejected(self, upper, field, tmp_path, capsys):
+        doc = json.loads(fixture_path(LINEAR_N2).read_text(encoding="utf-8"))
+        rows = [{"indices": idx, "values": val} for idx, val in upper]
+        doc["objective"] = {"type": "quadratic", "upper": rows}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert run_cli("solve", "--problem", bad, "--epsilon", 0.1) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
+
+    def test_non_reals_are_rejected(self, tmp_path, capsys):
+        # read as reals, these would solve as c = [1.0, 1.5] with margin 1.0
+        doc = json.loads(fixture_path(LINEAR_N2).read_text(encoding="utf-8"))
+        for edit, field in (({"objective": {"type": "linear", "c": [True, "1.5"]}}, "objective.c"),
+                            ({"margin": "1"}, "margin")):
+            bad = tmp_path / "bad.json"
+            bad.write_text(json.dumps(dict(doc, **edit)))
+            assert run_cli("solve", "--problem", bad, "--epsilon", 0.1) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and f"'{field}'" in err
+
     def test_entropy_n1_file_rejected_at_load(self, tmp_path, capsys):
         doc = {"name": "n1", "n": 1, "objective": {"type": "linear", "c": [0.5]},
                "constraints": {"sparse": [{"indices": [], "values": []}], "offsets": [1.0]},

@@ -1,11 +1,13 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
 
 from asmd.geometry import dual_norm
 from asmd.oracle import LinearObjective, MaxLinearConstraint, QuadraticObjective
+from asmd.fixtures import QUADRATIC_N3, load_fixture
 from asmd.problems import (
     InstanceFormatError,
     InstanceValidationError,
@@ -18,6 +20,7 @@ from asmd.problems import (
     save_problem,
     uniform_subgradient_bound,
 )
+from asmd.solver import SolverConfig, solve_adaptive
 
 from conftest import assert_instances_equal
 
@@ -118,6 +121,30 @@ class TestValidation:
             assert p.geometry().kind == p.geometry_kind == kind
             assert p.geometry().dimension == p.dimension
 
+    def test_fields_are_frozen(self):
+        p = tiny_linear_problem()
+        for field, value in (("oracle_mode", "column"), ("geometry_kind", "box"), ("margin", 2.0)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(p, field, value)
+        with pytest.raises(ValueError):
+            p.feasible_witness[0] = 1.0
+        assert (p.oracle_mode, p.margin) == ("exact", 1.0)
+        np.testing.assert_array_equal(p.feasible_witness, [0.5, 0.5])
+
+    def test_replace_validates_again(self):
+        p = tiny_linear_problem()
+        for field, value in (("oracle_mode", "column"), ("geometry_kind", "box"), ("margin", -1.0)):
+            with pytest.raises(InstanceValidationError):
+                dataclasses.replace(p, **{field: value})
+        assert dataclasses.replace(p, geometry_kind="euclidean").geometry_kind == "euclidean"
+
+    def test_witness_is_a_copy(self):
+        w = np.array([0.5, 0.5])
+        p = dataclasses.replace(tiny_linear_problem(), feasible_witness=w)
+        assert w.flags.writeable and not p.feasible_witness.flags.writeable
+        w[0] = 2.0
+        assert p.feasible_witness[0] == 0.5
+
     def test_entropy_needs_two_coordinates(self):
         doc = problem_to_document(tiny_linear_problem())
         doc.update(n=1, witness=[1.0], objective={"type": "linear", "c": [0.5]})
@@ -153,6 +180,20 @@ class TestFileRoundTrip:
         doc["objective"] = {"type": "quadratic", "triplets": [[0, 1, 0.5], [1, 0, 0.5]]}
         loaded = problem_from_document(doc)
         np.testing.assert_array_equal(loaded.objective.matrix, [[0.0, 0.5], [0.5, 0.0]])
+
+    def test_dense_text_loads_to_the_same_instance(self, tmp_path):
+        # the bundled quadratic as the dense "A" form wrote it
+        dense = tmp_path / "dense.json"
+        dense.write_text(DENSE_QUADRATIC_N3, encoding="utf-8")
+        loaded, fixture = load_problem(dense), load_fixture(QUADRATIC_N3)
+        assert_instances_equal(loaded, fixture)
+        assert loaded.objective.matrix.tobytes() == fixture.objective.matrix.tobytes()
+
+    def test_document_with_arrays_loads(self):
+        p = generate_instance(7, m_count=3, density=0.5, seed=4)
+        doc = problem_to_document(p)
+        assert isinstance(doc["objective"]["upper"][0]["indices"], np.ndarray)
+        assert_instances_equal(problem_from_document(doc), p)
 
     def test_asymmetric_matrix_is_symmetrized_with_flag(self):
         doc = problem_to_document(tiny_linear_problem())
@@ -196,6 +237,123 @@ class TestFileRoundTrip:
         doc = json.loads(path.read_text())
         assert doc["n"] == 5
         assert doc["geometry"] == "entropy"
+
+
+def quadratic_document(upper) -> dict:
+    doc = problem_to_document(tiny_linear_problem())
+    doc["objective"] = {"type": "quadratic", "upper": upper}
+    return doc
+
+
+BAD_UPPER = [
+    pytest.param([{"indices": [0], "values": [1.0]}], InstanceValidationError,
+                 r"objective\.upper'.*n = 2 rows, got 1", id="row-count"),
+    pytest.param([{"indices": [], "values": []}, {"indices": [0], "values": [1.0]}],
+                 InstanceValidationError, r"objective\.upper\[1\]' indices must lie in \[i, n\)",
+                 id="below-diagonal"),
+    pytest.param([{"indices": [0, 2], "values": [1.0, 1.0]}, {"indices": [], "values": []}],
+                 InstanceValidationError, r"objective\.upper\[0\]' indices must lie in \[i, n\)",
+                 id="index-n"),
+    pytest.param([{"indices": [], "values": []}, {"indices": [1, 1], "values": [1.0, 2.0]}],
+                 InstanceValidationError, r"objective\.upper\[1\]' indices must strictly increase",
+                 id="duplicate-index"),
+    pytest.param([{"indices": [1, 0], "values": [1.0, 2.0]}, {"indices": [], "values": []}],
+                 InstanceValidationError, r"objective\.upper\[0\]' indices must strictly increase",
+                 id="decreasing-index"),
+    pytest.param([{"indices": [0, 1], "values": [1.0]}, {"indices": [], "values": []}],
+                 InstanceValidationError, r"objective\.upper\[0\]' has 2 indices but 1 values",
+                 id="lengths"),
+    pytest.param([{"indices": [], "values": []}, {"indices": [True], "values": [1.0]}],
+                 InstanceFormatError, r"objective\.upper\[1\]\.indices' .*integers: got bool",
+                 id="bool-index"),
+    pytest.param([{"indices": [0], "values": ["1.5"]}, {"indices": [], "values": []}],
+                 InstanceFormatError, r"objective\.upper\[0\]\.values' .*reals: got str",
+                 id="string-value"),
+]
+
+
+@pytest.mark.parametrize("upper, error, message", BAD_UPPER)
+def test_upper_rejections(upper, error, message):
+    with pytest.raises(error, match=message):
+        problem_from_document(quadratic_document(upper))
+
+
+def test_upper_scatters_both_halves():
+    upper = [{"indices": [0, 1], "values": [2.0, -0.5]}, {"indices": [], "values": []}]
+    matrix = problem_from_document(quadratic_document(upper)).objective.matrix
+    np.testing.assert_array_equal(matrix, [[2.0, -0.5], [-0.5, 0.0]])
+
+
+def _edit(doc, path, value):
+    *keys, last = path
+    target = doc
+    for key in keys:
+        target = target[key]
+    target[last] = value
+
+
+BAD_REALS = [
+    pytest.param(("objective",), {"type": "linear", "c": [True, "1.5"]}, "objective.c",
+                 "bool, str", id="c"),
+    pytest.param(("objective",), {"type": "quadratic", "A": [[1.0, True], [True, 1.0]]},
+                 "objective.A", "bool", id="dense-A"),
+    pytest.param(("objective",), {"type": "quadratic", "triplets": [[0, 0, "1"]]},
+                 "objective.triplets[0]", "'1'", id="triplet-value"),
+    pytest.param(("constraints", "sparse", 0), {"indices": [0], "values": ["1"]},
+                 "constraints.sparse[0].values", "str", id="constraint-values"),
+    pytest.param(("constraints", "offsets"), [True], "constraints.offsets", "bool", id="offsets"),
+    pytest.param(("witness",), ["0.5", 0.5], "witness", "str", id="witness-string"),
+    pytest.param(("witness",), [[0.5, 0.5]], "witness", "list", id="witness-nested"),
+    pytest.param(("margin",), "1", "margin", "'1'", id="margin-string"),
+    pytest.param(("margin",), True, "margin", "True", id="margin-bool"),
+]
+
+
+@pytest.mark.parametrize("path, value, field, shown", BAD_REALS)
+def test_non_reals_are_rejected(path, value, field, shown):
+    # a float() cast would read true as 1.0 and "1.5" as 1.5, a different problem
+    text = json.dumps(problem_to_document(tiny_linear_problem()), default=np.ndarray.tolist)
+    doc = json.loads(text)
+    _edit(doc, path, value)
+    with pytest.raises(InstanceFormatError, match=re.escape(f"'{field}'")) as info:
+        problem_from_document(doc)
+    assert shown in str(info.value)
+
+
+def _solve_bytes(p):
+    result = solve_adaptive(p, SolverConfig(epsilon=0.05, seed=3, max_iterations=300))
+    trace = np.array(
+        [(r.k, r.productive, r.M_k, r.h_k, r.g_value, r.f_value) for r in result.trace]
+    )
+    return result.N, result.N_I, result.x_bar.tobytes(), trace.tobytes()
+
+
+class TestCompactFiles:
+    """The ``upper`` form loses nothing a solve can see, and stays compact."""
+
+    @pytest.mark.parametrize("oracle", ["exact", "column"])
+    @pytest.mark.parametrize("geometry", ["entropy", "euclidean"])
+    @pytest.mark.parametrize("n", [2, 3, 50, 300])
+    def test_round_trip(self, n, geometry, oracle, tmp_path):
+        p = generate_instance(n, seed=n, geometry=geometry, oracle=oracle)
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        save_problem(p, first)
+        q = load_problem(first)
+        # masked -0.0 entries come back as +0.0; nothing else changes
+        assert (q.objective.matrix == p.objective.matrix).all()
+        assert np.abs(q.objective.matrix).tobytes() == np.abs(p.objective.matrix).tobytes()
+        save_problem(q, second)
+        assert second.read_bytes() == first.read_bytes()
+        assert _solve_bytes(q) == _solve_bytes(p)
+
+    def test_file_holds_the_upper_triangle_only(self, tmp_path):
+        p = generate_instance(300, seed=5)
+        path = tmp_path / "instance.json"
+        save_problem(p, path)
+        objective = json.loads(path.read_text())["objective"]
+        assert set(objective) == {"type", "upper"}
+        stored = sum(len(row["values"]) for row in objective["upper"])
+        assert stored == np.count_nonzero(np.triu(p.objective.matrix)) > 0
 
 
 class TestReferenceOptimum:
@@ -288,3 +446,39 @@ class TestUniformBound:
         for base in bases:
             p = dataclasses.replace(base, geometry_kind=kind)
             assert uniform_subgradient_bound(p) == columnwise(p)
+
+
+DENSE_QUADRATIC_N3 = """{
+  "name": "quadratic-n3",
+  "n": 3,
+  "objective": {
+    "type": "quadratic",
+    "A": [
+      [0.59999999999999998, 0.20000000000000001, 0.10000000000000001],
+      [0.20000000000000001, 0.5, 0.14999999999999999],
+      [0.10000000000000001, 0.14999999999999999, 0.69999999999999996]
+    ]
+  },
+  "constraints": {
+    "sparse": [
+      {
+        "indices": [0],
+        "values": [1.0]
+      },
+      {
+        "indices": [1],
+        "values": [0.80000000000000004]
+      },
+      {
+        "indices": [0, 2],
+        "values": [-0.5, 0.59999999999999998]
+      }
+    ],
+    "offsets": [0.25, 0.28999999999999998, 0.25]
+  },
+  "geometry": "entropy",
+  "oracle": "exact",
+  "witness": [0.20000000000000001, 0.29999999999999999, 0.5],
+  "margin": 0.049999999999999989
+}
+"""

@@ -53,9 +53,39 @@ def test_generated_matrix_array_matches_list():
 
 
 def test_instance_document_array_matches_list():
-    for p in (generate_instance(30, m_count=4, density=0.3, seed=5), load_fixture(LINEAR_N2)):
+    problems = [generate_instance(30, m_count=4, density=0.3, seed=5)]
+    problems += [load_fixture(LINEAR_N2), load_fixture(QUADRATIC_N3)]
+    for p in problems:
         doc = problem_to_document(p)
+        kinds = {a.dtype.kind for a in _arrays(doc)}
+        # the integer path carries the constraint indices, and the upper rows' for quadratics
+        assert "i" in kinds and "f" in kinds
         assert canonical_json(doc) == canonical_json(listed(doc))
+
+
+def _arrays(doc):
+    if isinstance(doc, dict):
+        doc = list(doc.values())
+    if isinstance(doc, list):
+        return [a for v in doc for a in _arrays(v)]
+    return [doc] if isinstance(doc, np.ndarray) else []
+
+
+INT_EDGE_VALUES = [0, 1, -1, 7, -12345, 2**31, -(2**31) - 1, 2**53 + 1]
+INT_EDGE_VALUES += [np.iinfo(np.int64).max, np.iinfo(np.int64).min]
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint64])
+def test_integer_array_matches_list(dtype):
+    info = np.iinfo(dtype)
+    values = [v for v in INT_EDGE_VALUES if info.min <= v <= info.max]
+    values += [int(info.max), int(info.min)]
+    arr = np.array(values, dtype=dtype)
+    expected = "[" + ", ".join(map(str, values)) + "]\n"
+    assert canonical_json(arr) == canonical_json(arr.tolist()) == expected
+    assert canonical_json(arr[:0]) == canonical_json([]) == "[]\n"
+    doc = {"indices": arr, "nested": [arr, arr[:1]]}
+    assert canonical_json(doc) == canonical_json(listed(doc))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
