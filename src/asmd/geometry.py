@@ -18,9 +18,15 @@ they can be shared freely between concurrently running solves.
 
 The public functions check their inputs (shape, finiteness, simplex
 membership where a feasible point is required). ``prox_map`` and
-``dual_norm`` then run one check-free kernel per geometry, from
-``PROX_KERNELS`` and ``DUAL_NORM_KERNELS``; the solver's step calls the
-kernels directly, since the prox step keeps its iterates on the simplex.
+``dual_norm`` then run check-free kernels, from ``PROX_LOOPS`` and
+``DUAL_NORM_KERNELS``; the solver's step calls the kernels directly, since
+the prox step keeps its iterates on the simplex. A prox kernel is a pair
+that carries a state from step to step. The entropy state is the
+log-weights z, so a step is ``z <- z - y`` and ``x = exp(z - max z) / sum``
+and takes no log and no interior clamp of its iterate. ``prox_map`` is one
+lift and one advance of the same pair, and stays the public, checked
+reference: one entropy step of a run matches it up to rounding, a
+Euclidean step bit for bit.
 """
 
 from __future__ import annotations
@@ -181,15 +187,20 @@ def project_simplex(v) -> np.ndarray:
     return np.maximum(v - theta, 0.0)
 
 
-def _prox_euclidean(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return project_simplex(x - y)
+def _log_weights(x: np.ndarray) -> np.ndarray:
+    return np.log(interior_clamp(x))
 
 
-def _prox_entropy(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    z = np.log(interior_clamp(x)) - y
-    z -= z.max()
-    w = np.exp(z)
-    return w / w.sum()
+def _advance_entropy(z: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    z = z - y
+    w = np.exp(z - z.max())
+    w /= w.sum()
+    return z, w
+
+
+def _advance_euclidean(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    x = project_simplex(x - y)
+    return x, x
 
 
 def prox_map(geom: Geometry, x, y) -> np.ndarray:
@@ -201,15 +212,21 @@ def prox_map(geom: Geometry, x, y) -> np.ndarray:
     back onto the simplex. The output satisfies the optimality condition
     ``<y + d'(u) - d'(x), v - u> >= 0`` for every feasible v.
     """
-    x = require_feasible(geom, x)
-    return PROX_KERNELS[geom.kind](x, _check_vector(geom, y, "y"))
+    lift, advance = PROX_LOOPS[geom.kind]
+    return advance(lift(require_feasible(geom, x)), _check_vector(geom, y, "y"))[1]
 
 
-#: Check-free kernels by geometry kind. ``prox(x, y)`` trusts x to be a
-#: point of the simplex and y a finite vector of the same shape; ``norm(g)``
-#: trusts g to be a non-empty float vector.
-PROX_KERNELS = {"entropy": _prox_entropy, "euclidean": _prox_euclidean}
+#: Check-free kernels by geometry kind. ``norm(g)`` trusts g to be a
+#: non-empty float vector. The prox kernels serve a run of steps that each
+#: start where the last one ended: ``lift(x)`` turns a point of the simplex
+#: into the carried state, and ``advance(state, y)``, for a finite y of the
+#: same shape, returns the next state and its point, ``prox(x, y)``.
+#: Entropy carries log-weights, Euclidean the point itself.
 DUAL_NORM_KERNELS = {"entropy": _norm_linf, "euclidean": _norm_l2}
+PROX_LOOPS = {
+    "entropy": (_log_weights, _advance_entropy),
+    "euclidean": (np.asarray, _advance_euclidean),
+}
 
 
 def dgf_minimizer(geom: Geometry) -> np.ndarray:

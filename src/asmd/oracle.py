@@ -24,8 +24,12 @@ Index draws have one CDF scan, ``draw_index``, which makes no check. The
 public samplers ``sample_simplex_index`` and ``sample_simplex_indices``
 check that the point is a distribution first; the solver's step calls
 ``draw_index`` directly, because its iterates are on the simplex by
-construction. Randomness is confined to ``RngStream`` objects owned by
-each solver run, so concurrent runs with distinct streams never interact.
+construction. For the same reason the step evaluates the constraint with
+``values_unchecked`` and an exact gradient with ``gradient_unchecked``; the
+public ``values``, ``value``, ``value_and_argmax`` and ``gradient`` check
+the point's shape first. Randomness is confined to ``RngStream`` objects
+owned by each solver run, so concurrent runs with distinct streams never
+interact.
 """
 
 from __future__ import annotations
@@ -35,6 +39,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import FEASIBILITY_TOL
+
+#: Rows per block of the symmetry check, which bounds its boolean temporary
+#: to ``SYMMETRY_BLOCK x n`` where a whole-matrix comparison allocates n x n.
+SYMMETRY_BLOCK = 128
+
 
 @dataclass
 class RngStream:
@@ -67,6 +76,19 @@ def _check_point(x, dimension: int) -> np.ndarray:
     return x
 
 
+def _is_symmetric(a: np.ndarray) -> bool:
+    """``np.array_equal(a, a.T)`` for a square a, NaN and signed zeros
+    alike, comparing each block of ``SYMMETRY_BLOCK`` rows of the upper
+    triangle with the columns of the lower one instead of the whole
+    transpose."""
+    n = a.shape[0]
+    for i in range(0, n, SYMMETRY_BLOCK):
+        j = i + SYMMETRY_BLOCK
+        if not (a[i:j, i:] == a[i:, i:j].T).all():
+            return False
+    return True
+
+
 def _as_distribution(x) -> np.ndarray:
     """Clip round-off negatives to zero, without renormalizing: callers
     scale their uniform draw by the total mass ``cdf[-1]`` instead, which
@@ -87,9 +109,9 @@ def draw_index(p: np.ndarray, rng: RngStream, size: int | None = None) -> int | 
 
     With ``size``, an array of that many indices from one stream block.
     """
-    cdf = np.cumsum(p)
+    cdf = p.cumsum()
     u = rng.uniform(size) * cdf[-1]
-    idx = np.searchsorted(cdf, u, side="right")
+    idx = cdf.searchsorted(u, side="right")
     return int(idx) if size is None else idx
 
 
@@ -120,7 +142,7 @@ class QuadraticObjective:
         a = np.array(matrix, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"matrix must be square, got shape {a.shape}")
-        self.symmetrized = not np.array_equal(a, a.T)
+        self.symmetrized = not _is_symmetric(a)
         if self.symmetrized:
             with np.errstate(over="ignore", invalid="ignore"):
                 a = 0.5 * (a + a.T)
@@ -140,7 +162,11 @@ class QuadraticObjective:
 
     def gradient(self, x) -> np.ndarray:
         """Exact gradient ``A x`` (O(n^2) dense)."""
-        return self.matrix @ _check_point(x, self.dimension)
+        return self.gradient_unchecked(_check_point(x, self.dimension))
+
+    def gradient_unchecked(self, x: np.ndarray) -> np.ndarray:
+        """``gradient`` for a float vector of the right shape, unchecked."""
+        return self.matrix @ x
 
 
 class LinearObjective:
@@ -164,7 +190,10 @@ class LinearObjective:
 
     def gradient(self, x) -> np.ndarray:
         """The read-only coefficient vector itself."""
-        _check_point(x, self.dimension)
+        return self.gradient_unchecked(_check_point(x, self.dimension))
+
+    def gradient_unchecked(self, x: np.ndarray) -> np.ndarray:
+        """``gradient`` for a float vector of the right shape, unchecked."""
         return self.coefficients
 
 
@@ -246,13 +275,17 @@ class MaxLinearConstraint:
 
     def values(self, x) -> np.ndarray:
         """All affine term values ``C x - b`` at x, from the term matrix."""
-        return self.term_matrix @ _check_point(x, self.dimension) - self.offsets
+        return self.values_unchecked(_check_point(x, self.dimension))
+
+    def values_unchecked(self, x: np.ndarray) -> np.ndarray:
+        """``values`` for a float vector of the right shape, unchecked."""
+        return self.term_matrix @ x - self.offsets
 
     def value_and_argmax(self, x) -> tuple[float, int]:
         """Value at x and the index of the active term, from one evaluation;
         ties resolve to the smallest index."""
         vals = self.values(x)
-        m = int(np.argmax(vals))
+        m = int(vals.argmax())
         return float(vals[m]), m
 
     def value(self, x) -> float:

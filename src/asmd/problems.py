@@ -118,11 +118,11 @@ class ProblemInstance:
         return self.objective.value(x)
 
     def objective_sample(self, x, rng: RngStream) -> np.ndarray:
-        """The step's gradient sample at its own iterate x. The column draw
-        skips the distribution check: the iterates are on the simplex."""
+        """The step's gradient sample at its own iterate x, unchecked: the
+        iterates are float vectors on the simplex by construction."""
         if self.oracle_mode == "column":
             return self.objective.matrix[draw_index(x, rng)]
-        return self.objective.gradient(x)
+        return self.objective.gradient_unchecked(x)
 
     def constraint_value(self, x) -> float:
         return self.constraint.value(x)

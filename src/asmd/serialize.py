@@ -7,8 +7,9 @@ exact same double.
 
 ``canonical_json`` takes lists and numpy arrays alike and writes the same
 bytes for both. A 1-D float array takes an array path: one ``isfinite``
-check for the whole row, zeros written as ``0.0`` or ``-0.0`` by their
-sign bit, and only the nonzero entries passed through ``format_real``.
+check for the whole row, then one ``%`` operation over a template of
+``%.17g`` specs, with ``.0`` after the ones a vectorized test finds
+integral, which is the text ``format_real`` writes for every entry.
 A 1-D integer array is written from its ``tolist()`` in one join. That is
 what makes the sparse rows of instance files cheap to write. Higher-rank
 arrays are rendered row by row, one row per line, and
@@ -42,11 +43,11 @@ def _render_reals(row: np.ndarray) -> str:
     finite = np.isfinite(row)
     if not finite.all():
         format_real(row[~finite][0])  # raises the scalar path's error
-    cells = np.where(np.signbit(row), "-0.0", "0.0").tolist()
-    nonzero = np.flatnonzero(row)
-    for i, value in zip(nonzero.tolist(), row[nonzero].tolist()):
-        cells[i] = format_real(value)
-    return "[" + ", ".join(cells) + "]"
+    # ``%.17g`` writes an integral value below 1e17 without a point or an
+    # exponent, and only such a value; format_real appends ".0" to it
+    bare = (row == np.trunc(row)) & (np.abs(row) < 1e17)
+    specs = np.where(bare, "%.17g.0", "%.17g").tolist()
+    return ("[" + ", ".join(specs) + "]") % tuple(row.tolist())
 
 
 def _render(obj, indent: int) -> str:

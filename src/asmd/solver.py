@@ -16,7 +16,16 @@ precomputed iteration budget derived from a uniform subgradient bound.
 Inputs are checked at the boundary: ``SolverConfig`` checks the run
 parameters, ``ProblemInstance`` its data, the fixed policy its stepsize.
 The step trusts its own iterates: it calls the geometry's check-free
-kernels and keeps one scalar guard, ``h * M_k`` finite.
+kernels and the oracles' unchecked methods, and keeps one scalar guard,
+``h * M_k`` finite. The dual norms of the constraint directions are
+computed once per solve, with the same kernel, so a non-productive step
+reads its ``M_k`` from a list. The prox step runs on ``PROX_LOOPS``: under
+entropy it carries log-weights, ``z <- z - h g`` with the iterate
+``exp(z - max z) / sum``, and never takes the log of an iterate. One such
+step differs from ``prox_map``, the checked reference, by rounding only,
+so an entropy run's iterates drift from a chain of ``prox_map`` calls in
+their last digits; the Euclidean step is ``prox_map``'s own, bit for bit.
+Each step is yielded as an immutable ``StepState`` tuple.
 
 The step never evaluates the objective. A traced run computes the trace's
 f-values in blocks of ``TRACE_BLOCK`` (64) iterates, one matrix product
@@ -33,13 +42,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .geometry import (
     DUAL_NORM_KERNELS,
-    PROX_KERNELS,
+    PROX_LOOPS,
     Geometry,
     bregman,
     dgf_minimizer,
@@ -132,9 +141,8 @@ class RunResult:
     M_max: float
 
 
-@dataclass(frozen=True)
-class StepState:
-    """Everything the step itself computed, for diagnostics.
+class StepState(NamedTuple):
+    """Everything the step itself computed, for diagnostics; immutable.
 
     ``gradient`` is the sample the step applied and whose dual norm it
     recorded. ``stopped`` marks the iteration at which the variant's
@@ -197,11 +205,18 @@ def mirror_descent_steps(problem: ProblemInstance, config: SolverConfig) -> Iter
     precomputed budget exactly.
     """
     geom = problem.geometry()
-    prox = PROX_KERNELS[geom.kind]
+    lift, advance = PROX_LOOPS[geom.kind]
     norm = DUAL_NORM_KERNELS[geom.kind]
     radius = geom.radius
     rng = RngStream(config.seed)
+    constraint_values = problem.constraint.values_unchecked
+    directions = problem.constraint.directions
+    # a non-productive step's sample is a fixed direction: its norm is known
+    direction_norms = [norm(d) for d in directions]
+    epsilon = config.epsilon
+    adaptive = config.variant == ADAPTIVE
     x = dgf_minimizer(geom)
+    state = lift(x)
     if config.variant == FIXED:
         bound = float(config.fixed_M)
         budget = worst_case_iterations(bound, radius, config.epsilon, FIXED)
@@ -217,45 +232,38 @@ def mirror_descent_steps(problem: ProblemInstance, config: SolverConfig) -> Iter
     k = 0
     while True:
         k += 1
-        g_value, active = problem.constraint.value_and_argmax(x)
-        productive = g_value <= config.epsilon
+        values = constraint_values(x)
+        active = values.argmax()  # ties to the smallest index
+        g_value = float(values[active])
+        productive = g_value <= epsilon
         if productive:
             gradient = problem.objective_sample(x, rng)
+            m_k = norm(gradient)
         else:
-            gradient = problem.constraint.directions[active]
-        m_k = norm(gradient)
+            gradient = directions[active]
+            m_k = direction_norms[active]
         sum_m_sq += m_k * m_k
         m_max = max(m_max, m_k)
-        if config.variant == FIXED:
-            h = h_fixed
-            stopped = k >= budget
-        else:
+        if adaptive:
             # h stays inf while every sample so far was zero: the stopping
             # rule fires then, and the iterate does not move
             h = step_size(radius, sum_m_sq) if sum_m_sq != 0.0 else math.inf
-            stopped = stopping_criterion(radius, k, sum_m_sq, config.epsilon)
+            stopped = stopping_criterion(radius, k, sum_m_sq, epsilon)
+        else:
+            h = h_fixed
+            stopped = k >= budget
         if h == math.inf:
             x_next = x
         elif math.isfinite(h * m_k):
             # |h g_i| <= h M_k in both geometries, so the prox input is finite
-            x_next = prox(x, h * gradient)
+            state, x_next = advance(state, h * gradient)
         else:
             raise ValueError(f"step {k}: the prox input h * M_k = {h * m_k} is not finite")
-        yield StepState(
-            k=k,
-            x=x,
-            productive=productive,
-            g_value=g_value,
-            gradient=gradient,
-            M=m_k,
-            h=h,
-            x_next=x_next,
-            sum_M_sq=sum_m_sq,
-            stopped=stopped,
-        )
+        # positional, in field order: keywords would cost a microsecond a step
+        yield StepState(k, x, productive, g_value, gradient, m_k, h, x_next, sum_m_sq, stopped)
         if stopped:
             return
-        if config.variant == ADAPTIVE:
+        if adaptive:
             if config.max_iterations is None and m_max != limit_m:
                 limit_m = m_max
                 limit = 10 * worst_case_iterations(m_max, radius, config.epsilon, ADAPTIVE)

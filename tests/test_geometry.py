@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from asmd.geometry import (
     DUAL_NORM_KERNELS,
     GEOMETRY_KINDS,
-    PROX_KERNELS,
+    PROX_LOOPS,
     Geometry,
     bregman,
     dgf_gradient,
@@ -50,7 +50,7 @@ class TestGeometryConstruction:
                 Geometry(2, kind)
 
     def test_kernels_keyed_by_the_kinds(self):
-        assert set(PROX_KERNELS) == set(DUAL_NORM_KERNELS) == set(GEOMETRY_KINDS)
+        assert set(PROX_LOOPS) == set(DUAL_NORM_KERNELS) == set(GEOMETRY_KINDS)
 
 
 class TestDgfValue:

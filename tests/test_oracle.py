@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from asmd.oracle import (
+    SYMMETRY_BLOCK,
     LinearObjective,
     MaxLinearConstraint,
     QuadraticObjective,
     RngStream,
+    _is_symmetric,
     sample_simplex_index,
     sample_simplex_indices,
     unbiasedness_report,
@@ -90,6 +92,29 @@ class TestQuadraticObjective:
         assert q.symmetrized
         np.testing.assert_array_equal(q.matrix, [[0.0, 0.5], [0.5, 0.0]])
         assert not QuadraticObjective(np.eye(3)).symmetrized
+
+    def test_blocked_symmetry_check_matches_array_equal(self):
+        # three blocks of rows, the last one partial
+        n = 2 * SYMMETRY_BLOCK + 44
+        raw = np.random.default_rng(5).standard_normal((n, n))
+        symmetric = raw + raw.T
+        one_off = symmetric.copy()
+        one_off[n - 1, n - 3] += 1e-9  # a single asymmetric entry, in the last block
+        far_corner = symmetric.copy()
+        far_corner[n - 1, 3] += 1e-9  # in the last block of rows, below the first block
+        nan_diagonal = symmetric.copy()
+        nan_diagonal[n - 2, n - 2] = np.nan
+        signed_zeros = symmetric.copy()
+        signed_zeros[3, n - 1], signed_zeros[n - 1, 3] = -0.0, 0.0
+        cases = [(symmetric, True), (one_off, False), (far_corner, False),
+                 (nan_diagonal, False), (signed_zeros, True)]
+        for matrix, expected in cases:
+            assert _is_symmetric(matrix) == np.array_equal(matrix, matrix.T) == expected
+        assert QuadraticObjective(one_off).symmetrized
+        # -0.0 == +0.0, so the signed zeros are no asymmetry to repair
+        q = QuadraticObjective(signed_zeros)
+        assert not q.symmetrized
+        assert np.signbit(q.matrix[3, n - 1]) and not np.signbit(q.matrix[n - 1, 3])
 
     def test_non_finite_rejected(self):
         for matrix in ([[0.0, np.inf], [np.inf, 0.0]], [[0.0, np.nan], [1.0, 0.0]]):

@@ -7,7 +7,7 @@ from asmd.fixtures import LINEAR_N2, QUADRATIC_N3, fixture_path, load_fixture
 from asmd.problems import generate_instance, problem_to_document, save_problem
 from asmd.serialize import canonical_json, format_real, vector_digest
 
-EDGE_VALUES = [0.0, -0.0, 1.0, 2.0**53, 1e17 - 16, 1e17, 5e-324, 1e300, 0.1]
+EDGE_VALUES = [0.0, -0.0, 1.0, 2.0**53, 1e16, 1e17 - 16, 1e17, 5e-324, 1e-5, 1e300, 0.1]
 EDGE_VALUES += [-v for v in EDGE_VALUES[2:]]
 
 
@@ -39,6 +39,15 @@ def test_edge_values_array_matches_list():
     assert canonical_json(arr) == expected
     assert canonical_json(arr.tolist()) == expected
     assert joined(EDGE_VALUES).startswith("[0.0, -0.0, 1.0, 9007199254740992.0, ")
+
+
+def test_random_reals_match_format_real():
+    # normals across magnitudes, then the same values rounded to integers,
+    # so that both sides of the 1e17 limit for a trailing ".0" are hit
+    rng = np.random.default_rng(11)
+    values = rng.standard_normal(4000) * 10.0 ** rng.uniform(-30, 30, 4000)
+    for row in (values, np.round(values), rng.standard_normal(1000)):
+        assert canonical_json(row) == joined(row.tolist()) + "\n"
 
 
 def test_generated_matrix_array_matches_list():

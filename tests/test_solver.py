@@ -56,6 +56,29 @@ def counting(calls, fn):
     return counted
 
 
+def check_steps(problem, config):
+    """Every step of a run against the public, checked functions. A step,
+    productive or not, is one prox move along the recorded sample: bit for
+    bit under Euclidean, and to rounding under entropy, whose step carries
+    log-weights where ``prox_map`` takes the log of the iterate."""
+    geom = problem.geometry()
+    constraint = problem.constraint
+    for st_state in mirror_descent_steps(problem, config):
+        assert on_simplex(st_state.x)
+        assert on_simplex(st_state.x_next)
+        assert st_state.M == dual_norm(geom, st_state.gradient)
+        g_value, active = constraint.value_and_argmax(st_state.x)
+        assert st_state.g_value == g_value
+        assert st_state.productive == (g_value <= config.epsilon)
+        if not st_state.productive:
+            assert np.array_equal(st_state.gradient, constraint.directions[active])
+        expected = prox_map(geom, st_state.x, st_state.h * st_state.gradient)
+        if geom.kind == "euclidean":
+            np.testing.assert_array_equal(st_state.x_next, expected)
+        else:
+            np.testing.assert_allclose(st_state.x_next, expected, rtol=0, atol=1e-12)
+
+
 class TestStepSize:
     def test_single(self):
         assert step_size(1.0, 4.0) == 0.5
@@ -257,27 +280,43 @@ class TestSolveAdaptive:
         result = solve_adaptive(quad_problem, config)
         np.testing.assert_allclose(result.x_bar, np.mean(productive, axis=0), atol=1e-15)
 
-    def test_iterates_stay_feasible(self, quad_problem):
-        # every step, productive or not, is one prox move along the recorded sample
-        generated = generate_instance(15, m_count=6, density=0.2, seed=21)
-        for problem in (quad_problem, generated):
-            geom = problem.geometry()
-            for st_state in mirror_descent_steps(problem, SolverConfig(epsilon=0.05)):
-                assert on_simplex(st_state.x)
-                assert on_simplex(st_state.x_next)
-                expected = prox_map(geom, st_state.x, st_state.h * st_state.gradient)
-                np.testing.assert_array_equal(st_state.x_next, expected)
-                assert st_state.M == dual_norm(geom, st_state.gradient)
+    def test_iterates_stay_feasible(self):
+        bases = [
+            load_fixture(QUADRATIC_N3),
+            load_fixture(LINEAR_N2),
+            generate_instance(50, m_count=10, density=0.1, seed=7),
+        ]
+        runs = 0
+        for base in bases:
+            quadratic = isinstance(base.objective, QuadraticObjective)
+            for kind in geometry.GEOMETRY_KINDS:
+                for mode in ("exact", "column") if quadratic else ("exact",):
+                    problem = dataclasses.replace(base, geometry_kind=kind, oracle_mode=mode)
+                    bound = uniform_subgradient_bound(problem)
+                    for config in (
+                        SolverConfig(epsilon=0.1, seed=1),
+                        SolverConfig(epsilon=0.2, seed=1, variant=FIXED, fixed_M=bound),
+                    ):
+                        check_steps(problem, config)
+                        runs += 1
+        assert runs == 20
+
+    def test_step_record_is_immutable(self, quad_problem):
+        first = next(iter(mirror_descent_steps(quad_problem, SolverConfig(epsilon=0.05))))
+        with pytest.raises(AttributeError):
+            first.h = 0.0
+        with pytest.raises(AttributeError):
+            first.x = first.x_next
 
     def test_constraint_evaluated_once_per_step(self, quad_problem, monkeypatch):
         calls = []
-        values = MaxLinearConstraint.values
+        values = MaxLinearConstraint.values_unchecked
 
         def counted(constraint, x):
             calls.append(1)
             return values(constraint, x)
 
-        monkeypatch.setattr(MaxLinearConstraint, "values", counted)
+        monkeypatch.setattr(MaxLinearConstraint, "values_unchecked", counted)
         result = solve_adaptive(quad_problem, SolverConfig(epsilon=0.05))
         assert len(calls) == result.N
 
@@ -334,6 +373,33 @@ class TestSolveAdaptive:
         for solve, problem, config in runs:
             assert solve(problem, config).stop_reason == CRITERION_MET
         assert calls == []
+
+    @pytest.mark.parametrize("kind", ["entropy", "euclidean"])
+    @pytest.mark.parametrize("mode", ["exact", "column"])
+    def test_checks_do_not_grow_with_steps(self, kind, mode, monkeypatch):
+        # the point and vector checks run at the boundary, never per step
+        problem = generate_instance(
+            15, m_count=6, density=0.2, seed=21, geometry=kind, oracle=mode)
+        radius_sq = problem.geometry().radius_squared
+        calls = []
+        monkeypatch.setattr(oracle, "_check_point", counting(calls, oracle._check_point))
+        monkeypatch.setattr(geometry, "_check_vector", counting(calls, geometry._check_vector))
+        for make in (
+            lambda steps: SolverConfig(epsilon=1e-3, max_iterations=steps, seed=1),
+            # the fixed budget ceil(2 M^2 R^2 / eps^2) is about `steps`
+            lambda steps: SolverConfig(
+                epsilon=0.1, seed=1, variant=FIXED,
+                fixed_M=0.1 * math.sqrt(steps / (2 * radius_sq))),
+        ):
+            counts, lengths = [], []
+            for steps in (50, 500):
+                calls.clear()
+                config = make(steps)
+                solve = solve_fixed if config.variant == FIXED else solve_adaptive
+                lengths.append(solve(problem, config).N)
+                counts.append(len(calls))
+            assert lengths[1] > 5 * lengths[0]
+            assert counts[0] == counts[1]
 
     def test_start_point_is_potential_minimizer(self, quad_problem):
         first = next(iter(mirror_descent_steps(quad_problem, SolverConfig(epsilon=0.05))))
