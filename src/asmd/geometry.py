@@ -155,7 +155,8 @@ def bregman(geom: Geometry, x, y) -> float:
 
 
 def _norm_l2(g: np.ndarray) -> float:
-    return float(np.linalg.norm(g))
+    # numpy's own norm of a real vector, sqrt(x.dot(x)), without its dispatch
+    return math.sqrt(g.dot(g))
 
 
 def _norm_linf(g: np.ndarray) -> float:

@@ -119,9 +119,13 @@ class ProblemInstance:
 
     def objective_sample(self, x, rng: RngStream) -> np.ndarray:
         """The step's gradient sample at its own iterate x, unchecked: the
-        iterates are float vectors on the simplex by construction."""
+        iterates are float vectors on the simplex by construction. An exact
+        Euclidean sample is the product over x's support: projected
+        iterates are sparse, entropy iterates never are."""
         if self.oracle_mode == "column":
             return self.objective.matrix[draw_index(x, rng)]
+        if self.geometry_kind == "euclidean":
+            return self.objective.gradient_on_support(x)
         return self.objective.gradient_unchecked(x)
 
     def constraint_value(self, x) -> float:

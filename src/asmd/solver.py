@@ -27,6 +27,19 @@ so an entropy run's iterates drift from a chain of ``prox_map`` calls in
 their last digits; the Euclidean step is ``prox_map``'s own, bit for bit.
 Each step is yielded as an immutable ``StepState`` tuple.
 
+A productive step samples through ``ProblemInstance.objective_sample``.
+With the exact oracle under Euclidean geometry that is the product over
+the iterate's support, ``x[S] @ A[S]``: a projected iterate is sparse, so
+the step reads |S| rows of the matrix instead of all n, falling back to
+``A @ x`` past half the coordinates. It differs from ``A @ x`` by
+rounding only, but a run carries such differences forward, so a late
+constraint value close to epsilon can land on the other side of it and
+move N by a step. Entropy iterates are never sparse and keep the dense
+product. The adaptive step takes one square root of the
+running sum for both its stepsize and its stopping test, with the same
+expressions as ``step_size`` and ``stopping_criterion``, the public
+reference.
+
 The step never evaluates the objective. A traced run computes the trace's
 f-values in blocks of ``TRACE_BLOCK`` (64) iterates, one matrix product
 per block, which reads the quadratic's matrix once per block rather than
@@ -245,10 +258,12 @@ def mirror_descent_steps(problem: ProblemInstance, config: SolverConfig) -> Iter
         sum_m_sq += m_k * m_k
         m_max = max(m_max, m_k)
         if adaptive:
-            # h stays inf while every sample so far was zero: the stopping
-            # rule fires then, and the iterate does not move
-            h = step_size(radius, sum_m_sq) if sum_m_sq != 0.0 else math.inf
-            stopped = stopping_criterion(radius, k, sum_m_sq, epsilon)
+            # step_size and stopping_criterion, sharing one root; h stays inf
+            # while every sample so far was zero: the stopping rule fires
+            # then, and the iterate does not move
+            root = math.sqrt(sum_m_sq)
+            h = radius / root if sum_m_sq != 0.0 else math.inf
+            stopped = (2.0 * radius / k) * root <= epsilon
         else:
             h = h_fixed
             stopped = k >= budget

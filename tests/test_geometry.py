@@ -128,6 +128,25 @@ class TestDualNorm:
     def test_zero(self, geom):
         assert dual_norm(geom, [0.0, 0.0]) == 0.0
 
+    def test_l2_kernel_matches_numpy_norm(self):
+        # bit for bit, including a zero vector, subnormals, squares that
+        # overflow to inf and n = 1
+        norm = DUAL_NORM_KERNELS["euclidean"]
+        tiny = np.finfo(float).smallest_subnormal
+        cases = [np.zeros(1), np.zeros(5), np.array([-3.0]), np.array([tiny]),
+                 np.array([tiny, 3 * tiny, -tiny]), np.array([1e-160, -2e-160]),
+                 np.array([1e200]), np.array([1e200, -1e200, 1.0]), np.array([1.7e308])]
+        rng = np.random.default_rng(11)
+        for n in (1, 2, 7, 50, 500, 2000):
+            for scale in (1e-5, 1.0, 1e5):
+                cases.append(rng.standard_normal(n) * scale)
+        for g in cases:
+            with np.errstate(over="ignore"):
+                expected = float(np.linalg.norm(g))
+                got = norm(g)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == np.float64(expected).tobytes(), g
+
     @pytest.mark.parametrize("kind", ["entropy", "euclidean"])
     def test_sampled_duality(self, kind):
         # the dual norm should match the best inner product over random

@@ -116,6 +116,30 @@ class TestQuadraticObjective:
         assert not q.symmetrized
         assert np.signbit(q.matrix[3, n - 1]) and not np.signbit(q.matrix[n - 1, 3])
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 50])
+    def test_gradient_on_support(self, n):
+        rng = np.random.default_rng(n)
+        raw = rng.standard_normal((n, n))
+        q = QuadraticObjective(raw + raw.T)
+        before = q.matrix.copy()
+        for size in sorted({1, n // 2, n // 2 + 1, n}):
+            for _ in range(5):
+                x = np.zeros(n)
+                support = rng.choice(n, size=size, replace=False)
+                x[support] = rng.dirichlet(np.ones(size)) if size else []
+                dense = q.matrix @ x
+                product = q.gradient_on_support(x)
+                if 2 * size > n:
+                    # the dense fallback, bit for bit
+                    np.testing.assert_array_equal(product, dense)
+                else:
+                    scale = float(np.abs(q.matrix).max())
+                    np.testing.assert_allclose(product, dense, rtol=1e-13, atol=1e-13 * scale)
+                    rows = np.sort(support)
+                    np.testing.assert_array_equal(product, np.dot(x[rows], q.matrix[rows]))
+        assert not q.matrix.flags.writeable
+        assert q.matrix.tobytes() == before.tobytes()
+
     def test_non_finite_rejected(self):
         for matrix in ([[0.0, np.inf], [np.inf, 0.0]], [[0.0, np.nan], [1.0, 0.0]]):
             with pytest.raises(ValueError, match="non-finite"):
@@ -241,6 +265,10 @@ class TestLinearObjective:
         obj = LinearObjective([0.0, 1.0])
         assert obj.value([0.25, 0.75]) == 0.75
         np.testing.assert_array_equal(obj.gradient([0.25, 0.75]), [0.0, 1.0])
+
+    def test_gradient_on_support_is_the_coefficients(self):
+        obj = LinearObjective([1.0, 2.0, 3.0])
+        assert obj.gradient_on_support(np.array([0.0, 1.0, 0.0])) is obj.coefficients
 
     def test_gradient_is_read_only(self):
         obj = LinearObjective([1.0, 2.0])

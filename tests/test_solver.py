@@ -60,9 +60,14 @@ def check_steps(problem, config):
     """Every step of a run against the public, checked functions. A step,
     productive or not, is one prox move along the recorded sample: bit for
     bit under Euclidean, and to rounding under entropy, whose step carries
-    log-weights where ``prox_map`` takes the log of the iterate."""
+    log-weights where ``prox_map`` takes the log of the iterate. Returns the
+    number of exact Euclidean samples taken from the rows of the support."""
     geom = problem.geometry()
+    radius = geom.radius
     constraint = problem.constraint
+    objective = problem.objective
+    n = problem.dimension
+    support_products = 0
     for st_state in mirror_descent_steps(problem, config):
         assert on_simplex(st_state.x)
         assert on_simplex(st_state.x_next)
@@ -72,11 +77,38 @@ def check_steps(problem, config):
         assert st_state.productive == (g_value <= config.epsilon)
         if not st_state.productive:
             assert np.array_equal(st_state.gradient, constraint.directions[active])
+        elif problem.oracle_mode == "column":
+            # a row of the matrix, handed out as a view
+            assert np.shares_memory(st_state.gradient, objective.matrix)
+            assert (objective.matrix == st_state.gradient).all(axis=1).any()
+        else:
+            reference = objective.gradient(st_state.x)
+            scale = float(np.abs(reference).max())
+            np.testing.assert_allclose(
+                st_state.gradient, reference, rtol=1e-12, atol=1e-12 * scale)
+            if isinstance(objective, LinearObjective) or geom.kind == "entropy":
+                expected = reference
+            else:
+                support = np.flatnonzero(st_state.x)
+                if 2 * support.size <= n:
+                    expected = np.dot(st_state.x[support], objective.matrix[support])
+                    support_products += 1
+                else:
+                    expected = objective.matrix @ st_state.x
+            np.testing.assert_array_equal(st_state.gradient, expected)
+        if config.variant == ADAPTIVE:
+            if st_state.sum_M_sq:
+                assert st_state.h == step_size(radius, st_state.sum_M_sq)
+            else:
+                assert st_state.h == math.inf
+            assert st_state.stopped == stopping_criterion(
+                radius, st_state.k, st_state.sum_M_sq, config.epsilon)
         expected = prox_map(geom, st_state.x, st_state.h * st_state.gradient)
         if geom.kind == "euclidean":
             np.testing.assert_array_equal(st_state.x_next, expected)
         else:
             np.testing.assert_allclose(st_state.x_next, expected, rtol=0, atol=1e-12)
+    return support_products
 
 
 class TestStepSize:
@@ -287,6 +319,7 @@ class TestSolveAdaptive:
             generate_instance(50, m_count=10, density=0.1, seed=7),
         ]
         runs = 0
+        support_products = 0
         for base in bases:
             quadratic = isinstance(base.objective, QuadraticObjective)
             for kind in geometry.GEOMETRY_KINDS:
@@ -297,9 +330,11 @@ class TestSolveAdaptive:
                         SolverConfig(epsilon=0.1, seed=1),
                         SolverConfig(epsilon=0.2, seed=1, variant=FIXED, fixed_M=bound),
                     ):
-                        check_steps(problem, config)
+                        support_products += check_steps(problem, config)
                         runs += 1
         assert runs == 20
+        # the support product ran, not only its dense fallback
+        assert support_products > 0
 
     def test_step_record_is_immutable(self, quad_problem):
         first = next(iter(mirror_descent_steps(quad_problem, SolverConfig(epsilon=0.05))))
