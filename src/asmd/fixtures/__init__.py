@@ -1,7 +1,9 @@
 """Bundled example instances used by the validation suites and the tests.
 
-* ``quadratic_n3.json``: a 3-dimensional quadratic objective (positive
-  semidefinite, so the problem is convex) with three sparse max-linear
+* ``quadratic_n3.json``: the 3-dimensional quadratic objective
+  A = [[0.6, 0.2, 0.1], [0.2, 0.5, 0.15], [0.1, 0.15, 0.7]] (positive
+  semidefinite, so the problem is convex; the file packs the matrix to
+  base64, as every instance file does) with three sparse max-linear
   constraints shifted around the witness (0.2, 0.3, 0.5); entropy
   geometry, exact oracle.
 * ``linear_n2.json``: a 2-dimensional linear objective whose constraint is

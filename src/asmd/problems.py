@@ -6,17 +6,21 @@ selection, an oracle mode and a stored strictly feasible witness point.
 The witness certifies that the constraint set meets the simplex, which
 the solvers' guarantees presuppose.
 
-Instance files are JSON documents written through the canonical serializer
-(17 significant digits), so save/load round-trips are bit-exact and
-regeneration with the same arguments is byte-identical. A quadratic's
-matrix is written as its upper triangle in sparse rows: ``"upper"`` holds
-one ``{"indices": [...], "values": [...]}`` object per matrix row i, with
-the nonzero entries A[i, j], j >= i, at strictly increasing indices (the
-``indices``/``values`` form the constraints use). The reader rebuilds the
-symmetric matrix with two scatters, (i, j) and then (j, i); zeros of
-either sign come back as +0.0, which no product, sample or norm can tell
-apart. It also accepts a dense ``"A"`` and ``"triplets"`` of
-[i, j, value], added up, so older and hand-written files still load.
+Instance files are JSON documents written through the canonical serializer,
+so save/load round-trips are bit-exact and regeneration with the same
+arguments is byte-identical. A quadratic's matrix is stored as the nonzero
+entries A[i, j], j >= i, of its upper triangle, packed: ``"packed"`` holds
+three base64 texts of little-endian arrays, ``counts`` (``<i4``, the
+entries of each row i), ``indices`` (``<i4``, the columns j, strictly
+increasing within a row) and ``values`` (``<f8``, the entries' exact
+bits). Every other number is JSON text with 17 significant digits. The
+reader rebuilds the symmetric matrix with two scatters, (i, j) and then
+(j, i); zeros of either sign come back as +0.0, which no product, sample
+or norm can tell apart. It also accepts the text forms older and
+hand-written files use: ``"upper"``, one ``{"indices": [...], "values":
+[...]}`` row per i, with the same entries; a dense ``"A"``; and
+``"triplets"`` of [i, j, value], added up. Both upper-triangle forms go
+through one check of sizes, index range and order, and finite values.
 
 The reader checks the types of each parsed list at once, from the set of
 its element types: booleans, strings and nested lists are rejected where a
@@ -26,6 +30,7 @@ checked one at a time in Python.
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 from dataclasses import dataclass
@@ -191,25 +196,34 @@ def generate_instance(
 # -- file format -----------------------------------------------------------
 
 
-def _upper_rows(matrix: np.ndarray) -> list[dict]:
-    """The nonzero entries A[i, j], j >= i, as one sparse row per i."""
-    rows, cols = np.nonzero(np.triu(matrix))
-    bounds = np.searchsorted(rows, np.arange(1, matrix.shape[0]))
-    return [
-        {"indices": idx, "values": val}
-        for idx, val in zip(np.split(cols, bounds), np.split(matrix[rows, cols], bounds))
-    ]
+_PACKED_DTYPES = {"counts": "<i4", "indices": "<i4", "values": "<f8"}
+
+
+def _packed_upper(matrix: np.ndarray) -> dict:
+    """The nonzero entries A[i, j], j >= i, as the three packed blobs."""
+    rows, cols = np.nonzero(matrix)
+    upper = cols >= rows
+    rows, cols = rows[upper], cols[upper]
+    arrays = {
+        "counts": np.bincount(rows, minlength=matrix.shape[0]),
+        "indices": cols,
+        "values": matrix[rows, cols],
+    }
+    return {
+        key: base64.b64encode(arrays[key].astype(dtype).tobytes()).decode("ascii")
+        for key, dtype in _PACKED_DTYPES.items()
+    }
 
 
 def problem_to_document(p: ProblemInstance) -> dict:
     """The instance as a file document.
 
-    The numeric fields are arrays (the instance's own, or slices of them),
-    not lists, so that ``canonical_json`` writes them through its array
-    paths.
+    A quadratic's matrix is packed to base64 text. The other numeric fields
+    are arrays (the instance's own, or slices of them), not lists, so that
+    ``canonical_json`` writes them through its array paths.
     """
     if isinstance(p.objective, QuadraticObjective):
-        objective = {"type": "quadratic", "upper": _upper_rows(p.objective.matrix)}
+        objective = {"type": "quadratic", "packed": _packed_upper(p.objective.matrix)}
     else:
         objective = {"type": "linear", "c": p.objective.coefficients}
     return {
@@ -269,16 +283,34 @@ def _real(value, where: str) -> float:
     return float(value)
 
 
-def _upper_matrix(rows, n: int) -> np.ndarray:
-    """The symmetric matrix of an ``upper`` list of n sparse rows.
+def _packed_arrays(packed) -> list[np.ndarray]:
+    """The counts, indices and values arrays of a ``packed`` object."""
+    arrays = []
+    for key, dtype in _PACKED_DTYPES.items():
+        where = f"objective.packed.{key}"
+        blob = _field(packed, key, "objective.packed")
+        if not isinstance(blob, str):
+            raise InstanceFormatError(
+                f"field '{where}' must be base64 text, got {type(blob).__name__}"
+            )
+        try:
+            arrays.append(np.frombuffer(base64.b64decode(blob, validate=True), dtype=dtype))
+        except ValueError as exc:  # binascii.Error is one
+            raise InstanceFormatError(
+                f"field '{where}' must be a base64 {dtype} array: {exc}"
+            ) from None
+    return arrays
 
-    Rows are checked one by one for their shape, and the entries all at
-    once; an error names the first offending row.
+
+def _text_arrays(rows) -> list[np.ndarray]:
+    """The counts, indices and values arrays of an ``upper`` list of rows.
+
+    Rows are checked one by one for their shape, and the entries' types all
+    at once; an error names the first offending row.
     """
-    if not isinstance(rows, (list, tuple)) or len(rows) != n:
-        count = len(rows) if isinstance(rows, (list, tuple)) else type(rows).__name__
-        raise InstanceValidationError(
-            f"field 'objective.upper' must hold n = {n} rows, got {count}"
+    if not isinstance(rows, (list, tuple)):
+        raise InstanceFormatError(
+            f"field 'objective.upper' must be a list of rows, got {type(rows).__name__}"
         )
     indices, values = [], []
     for i, row in enumerate(rows):
@@ -303,18 +335,52 @@ def _upper_matrix(rows, n: int) -> np.ndarray:
                 _typed_array(part, f"objective.upper[{i}].{key}", dtype)
             raise
 
-    cols = flat(indices, "indices", np.int64)
-    vals = flat(values, "values", float)
-    rows_of = np.repeat(np.arange(n), [len(idx) for idx in indices])
-    out_of_range = (cols < rows_of) | (cols >= n)
+    counts = np.array([len(idx) for idx in indices], dtype=np.int64)
+    return [counts, flat(indices, "indices", np.int64), flat(values, "values", float)]
+
+
+def _upper_matrix(counts, cols, vals, n: int, locate) -> np.ndarray:
+    """The symmetric matrix whose upper triangle holds ``vals`` at columns
+    ``cols``, row i taking the next ``counts[i]`` of them.
+
+    Both file forms are checked here, all entries at once: n rows, sizes
+    that match, indices in [i, n) and strictly increasing within a row,
+    finite values. ``locate(key, row)`` names the field of the counts,
+    indices or values (of one row) in an error.
+    """
+    if counts.size != n:
+        raise InstanceValidationError(
+            f"field {locate('counts')} must hold n = {n} rows, got {counts.size}"
+        )
+    negative = counts < 0
+    if negative.any():
+        i = int(np.argmax(negative))
+        raise InstanceValidationError(
+            f"field {locate('counts')} must be nonnegative, got {counts[i]} for row {i}"
+        )
+    total = int(counts.sum())
+    if cols.size != total:
+        raise InstanceValidationError(
+            f"field {locate('indices')} holds {cols.size} indices, but the counts add to {total}"
+        )
+    if vals.size != cols.size:
+        raise InstanceValidationError(
+            f"field {locate('values')} holds {vals.size} values for {cols.size} indices"
+        )
+    rows_of = np.repeat(np.arange(n), counts)
     unordered = np.zeros(cols.size, dtype=bool)
     unordered[1:] = (rows_of[1:] == rows_of[:-1]) & (cols[1:] <= cols[:-1])
-    for bad, rule in ((out_of_range, "indices must lie in [i, n)"),
-                      (unordered, "indices must strictly increase")):
+    out_of_range = (cols < rows_of) | (cols >= n)
+    checks = (
+        ("indices", out_of_range, f"indices must lie in [i, n) for n = {n}", cols),
+        ("indices", unordered, "indices must strictly increase", cols),
+        ("values", ~np.isfinite(vals), "values must be finite", vals),
+    )
+    for key, bad, rule, entries in checks:
         if bad.any():
             k = int(np.argmax(bad))
             raise InstanceValidationError(
-                f"field 'objective.upper[{rows_of[k]}]' {rule}, got index {cols[k]} for n = {n}"
+                f"field {locate(key, rows_of[k])} {rule}, got {entries[k]}"
             )
     matrix = np.zeros((n, n))
     matrix[rows_of, cols] = vals
@@ -322,9 +388,19 @@ def _upper_matrix(rows, n: int) -> np.ndarray:
     return matrix
 
 
+def _locate_packed(key: str, row=None) -> str:
+    return f"'objective.packed.{key}'" + ("" if row is None else f" (row {row})")
+
+
+def _locate_upper(key: str, row=None) -> str:
+    return "'objective.upper'" if row is None else f"'objective.upper[{row}]'"
+
+
 def _quadratic_matrix(objective_doc: dict, n: int) -> np.ndarray:
+    if "packed" in objective_doc:
+        return _upper_matrix(*_packed_arrays(objective_doc["packed"]), n, _locate_packed)
     if "upper" in objective_doc:
-        return _upper_matrix(objective_doc["upper"], n)
+        return _upper_matrix(*_text_arrays(objective_doc["upper"]), n, _locate_upper)
     if "A" in objective_doc:
         matrix = _typed_array(objective_doc["A"], "objective.A", nested=True)
         if matrix.shape != (n, n):
@@ -348,7 +424,7 @@ def _quadratic_matrix(objective_doc: dict, n: int) -> np.ndarray:
                 raise InstanceValidationError(f"field '{where}' index out of range for n={n}")
             matrix[i, j] += _real(v, where)
         return matrix
-    raise InstanceFormatError("field 'objective' needs 'upper', 'A' or 'triplets'")
+    raise InstanceFormatError("field 'objective' needs 'packed', 'upper', 'A' or 'triplets'")
 
 
 def problem_from_document(doc) -> ProblemInstance:

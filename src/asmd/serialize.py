@@ -3,7 +3,9 @@
 All numeric output (instance files, result files, trace CSVs) follows one
 rule, ``format_real``: 17 significant digits, so reruns with identical
 inputs produce byte-identical files and every value round-trips to the
-exact same double.
+exact same double. The one exception is a quadratic's matrix in an
+instance file, which is stored as the exact bits of its entries, packed to
+base64 text (``problems.problem_to_document``).
 
 ``canonical_json`` takes lists and numpy arrays alike and writes the same
 bytes for both. A 1-D float array takes an array path: one ``isfinite``
@@ -11,9 +13,9 @@ check for the whole row, then one ``%`` operation over a template of
 ``%.17g`` specs, with ``.0`` after the ones a vectorized test finds
 integral, which is the text ``format_real`` writes for every entry.
 A 1-D integer array is written from its ``tolist()`` in one join. That is
-what makes the sparse rows of instance files cheap to write. Higher-rank
-arrays are rendered row by row, one row per line, and
-are never flattened into one list of strings.
+what makes the sparse constraint rows of instance files cheap to write.
+Higher-rank arrays are rendered row by row, one row per line, and are
+never flattened into one list of strings.
 """
 
 from __future__ import annotations

@@ -77,6 +77,31 @@ def test_cli_gen_and_solve_calls(tmp_path, capsys):
     assert lengths[1] > solver.TRACE_BLOCK and lengths[1] % solver.TRACE_BLOCK != 0
 
 
+def test_gen_writes_constraints_and_witness_as_plain_lists(tmp_path):
+    # the benchmark checks each written witness against the constraints it
+    # reads with json.load alone, so these fields must stay lists of numbers
+    instance = str(tmp_path / "instance.json")
+    assert cli.main(["gen", "--n", "6", "--m", "10", "--density", "0.1", "--seed", "7",
+                     "--oracle", "column", "--out", instance]) == 0
+    with open(instance, encoding="utf-8") as fh:
+        doc = json.load(fh)
+
+    def numbers(values, kind):
+        return isinstance(values, list) and all(
+            isinstance(v, kind) and not isinstance(v, bool) for v in values)
+
+    sparse = doc["constraints"]["sparse"]
+    assert len(sparse) == 10
+    assert any(term["indices"] for term in sparse)
+    for term in sparse:
+        assert numbers(term["indices"], int)
+        assert numbers(term["values"], float)
+        assert len(term["indices"]) == len(term["values"])
+    offsets = doc["constraints"]["offsets"]
+    assert numbers(offsets, float) and len(offsets) == 10
+    assert numbers(doc["witness"], float) and len(doc["witness"]) == 6
+
+
 def test_traced_run_patches(monkeypatch):
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     import tracing

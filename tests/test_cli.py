@@ -8,7 +8,7 @@ import pytest
 from asmd.cli import main, run_benchmark
 from asmd.fixtures import LINEAR_N2, QUADRATIC_N3, fixture_path, load_fixture
 from asmd.oracle import QuadraticObjective
-from asmd.problems import generate_instance, load_problem, uniform_subgradient_bound
+from asmd.problems import generate_instance, load_problem, save_problem, uniform_subgradient_bound
 from asmd.solver import (
     ADAPTIVE,
     FIXED,
@@ -17,6 +17,8 @@ from asmd.solver import (
     solve_fixed,
     worst_case_iterations,
 )
+
+from conftest import BAD_PACKED, packed_objective, upper_text_json
 
 
 def run_cli(*args):
@@ -173,6 +175,38 @@ class TestSolve:
         assert run_cli("solve", "--problem", bad, "--epsilon", 0.1) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and field in err
+
+    @pytest.mark.parametrize("edits, error, key", BAD_PACKED)
+    def test_bad_packed_matrix_is_rejected(self, edits, error, key, tmp_path, capsys):
+        doc = json.loads(fixture_path(LINEAR_N2).read_text(encoding="utf-8"))
+        bad = tmp_path / "bad.json"
+        doc["objective"] = packed_objective()
+        bad.write_text(json.dumps(doc))
+        assert run_cli("solve", "--problem", bad, "--epsilon", 0.1) == 0
+        doc["objective"] = packed_objective(**edits)
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run_cli("solve", "--problem", bad, "--epsilon", 0.1) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"'objective.packed.{key}'" in err
+
+    @pytest.mark.parametrize("seed", [0, 3, 5])
+    def test_text_and_packed_files_solve_alike(self, seed, tmp_path):
+        # the same bytes out whichever form the matrix was read from
+        for problem in (load_fixture(QUADRATIC_N3), generate_instance(30, seed=4)):
+            outputs = []
+            for form in ("text", "packed"):
+                inst, result, trace = (tmp_path / f"{form}{ext}"
+                                       for ext in (".json", "-result.json", ".csv"))
+                if form == "text":
+                    inst.write_text(upper_text_json(problem), encoding="utf-8")
+                else:
+                    save_problem(problem, inst)
+                code = run_cli("solve", "--problem", inst, "--epsilon", 0.05, "--seed", seed,
+                               "--trace-out", trace, "--result-out", result, "--no-timestamp")
+                outputs.append((code, result.read_bytes(), trace.read_bytes()))
+            assert outputs[0] == outputs[1]
+            assert outputs[0][0] == 0
 
     def test_non_reals_are_rejected(self, tmp_path, capsys):
         # read as reals, these would solve as c = [1.0, 1.5] with margin 1.0

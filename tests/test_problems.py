@@ -1,3 +1,4 @@
+import base64
 import dataclasses
 import json
 import re
@@ -7,7 +8,7 @@ import pytest
 
 from asmd.geometry import dual_norm
 from asmd.oracle import LinearObjective, MaxLinearConstraint, QuadraticObjective
-from asmd.fixtures import QUADRATIC_N3, load_fixture
+from asmd.fixtures import QUADRATIC_N3, fixture_path, load_fixture
 from asmd.problems import (
     InstanceFormatError,
     InstanceValidationError,
@@ -22,7 +23,7 @@ from asmd.problems import (
 )
 from asmd.solver import SolverConfig, solve_adaptive
 
-from conftest import assert_instances_equal
+from conftest import BAD_PACKED, assert_instances_equal, pack, packed_objective, upper_text_json
 
 
 def tiny_linear_problem(geometry="entropy"):
@@ -192,7 +193,11 @@ class TestFileRoundTrip:
     def test_document_with_arrays_loads(self):
         p = generate_instance(7, m_count=3, density=0.5, seed=4)
         doc = problem_to_document(p)
-        assert isinstance(doc["objective"]["upper"][0]["indices"], np.ndarray)
+        # the matrix is packed to base64 text; the constraint rows stay arrays
+        packed = doc["objective"]["packed"]
+        assert set(packed) == {"counts", "indices", "values"}
+        assert all(isinstance(blob, str) for blob in packed.values())
+        assert isinstance(doc["constraints"]["sparse"][0]["indices"], np.ndarray)
         assert_instances_equal(problem_from_document(doc), p)
 
     def test_asymmetric_matrix_is_symmetrized_with_flag(self):
@@ -284,6 +289,24 @@ def test_upper_scatters_both_halves():
     np.testing.assert_array_equal(matrix, [[2.0, -0.5], [-0.5, 0.0]])
 
 
+@pytest.mark.parametrize("edits, error, key", BAD_PACKED)
+def test_packed_rejections(edits, error, key):
+    doc = problem_to_document(tiny_linear_problem())
+    doc["objective"] = packed_objective(**edits)
+    with pytest.raises(ValueError, match=re.escape(f"'objective.packed.{key}'")) as info:
+        problem_from_document(doc)
+    assert type(info.value) is error
+
+
+def test_packed_needs_every_blob():
+    doc = problem_to_document(tiny_linear_problem())
+    doc["objective"] = packed_objective()
+    np.testing.assert_array_equal(problem_from_document(doc).objective.matrix, [[2, 0], [0, 3]])
+    del doc["objective"]["packed"]["values"]
+    with pytest.raises(InstanceFormatError, match=r"'objective\.packed\.values' is missing"):
+        problem_from_document(doc)
+
+
 def _edit(doc, path, value):
     *keys, last = path
     target = doc
@@ -329,7 +352,7 @@ def _solve_bytes(p):
 
 
 class TestCompactFiles:
-    """The ``upper`` form loses nothing a solve can see, and stays compact."""
+    """The ``packed`` form loses nothing a solve can see, and stays compact."""
 
     @pytest.mark.parametrize("oracle", ["exact", "column"])
     @pytest.mark.parametrize("geometry", ["entropy", "euclidean"])
@@ -351,9 +374,66 @@ class TestCompactFiles:
         path = tmp_path / "instance.json"
         save_problem(p, path)
         objective = json.loads(path.read_text())["objective"]
-        assert set(objective) == {"type", "upper"}
-        stored = sum(len(row["values"]) for row in objective["upper"])
-        assert stored == np.count_nonzero(np.triu(p.objective.matrix)) > 0
+        assert set(objective) == {"type", "packed"}
+        counts = np.frombuffer(base64.b64decode(objective["packed"]["counts"]), "<i4")
+        stored = np.frombuffer(base64.b64decode(objective["packed"]["values"]), "<f8").size
+        assert counts.sum() == stored == np.count_nonzero(np.triu(p.objective.matrix)) > 0
+
+    @pytest.mark.parametrize("n, seed", [(2, 0), (3, 1), (50, 7), (300, 5)])
+    def test_packed_blobs_hold_the_text_rows(self, n, seed):
+        # the same entries, in the same order, as the text rows from np.triu
+        p = generate_instance(n, seed=seed)
+        upper = json.loads(upper_text_json(p))["objective"]["upper"]
+        expected = {
+            "counts": pack([len(row["indices"]) for row in upper], "<i4"),
+            "indices": pack([j for row in upper for j in row["indices"]], "<i4"),
+            "values": pack([v for row in upper for v in row["values"]], "<f8"),
+        }
+        assert problem_to_document(p)["objective"]["packed"] == expected
+
+    def test_text_forms_load_to_the_packed_bits(self, tmp_path):
+        # the bundled quadratic as the text form wrote it, then a generated one
+        assert upper_text_json(load_fixture(QUADRATIC_N3)) == UPPER_QUADRATIC_N3
+        generated = generate_instance(300, seed=5)
+        for text, expected in ((UPPER_QUADRATIC_N3, load_fixture(QUADRATIC_N3)),
+                               (upper_text_json(generated), generated)):
+            text_path, packed_path = tmp_path / "text.json", tmp_path / "packed.json"
+            text_path.write_text(text, encoding="utf-8")
+            q = load_problem(text_path)
+            save_problem(q, packed_path)
+            assert "packed" in json.loads(packed_path.read_text())["objective"]
+            r = load_problem(packed_path)
+            assert q.objective.matrix.tobytes() == r.objective.matrix.tobytes()
+            assert_instances_equal(q, r)
+            assert_instances_equal(r, expected)
+
+    def test_edge_values_keep_their_bits(self, tmp_path):
+        sub = 2.2250738585072014e-308 / 4  # subnormal
+        matrix = np.array([
+            [-0.0, 5e-324, 1e308, 3.0],
+            [5e-324, 0.0, -1e308, -0.0],
+            [1e308, -1e308, sub, -sub],
+            [3.0, -0.0, -sub, -7.0],
+        ])
+        p = ProblemInstance(
+            name="edges",
+            dimension=4,
+            objective=QuadraticObjective(matrix),
+            constraint=MaxLinearConstraint([([], [])], [1.0], 4),
+            geometry_kind="euclidean",
+            oracle_mode="exact",
+            feasible_witness=np.full(4, 0.25),
+            margin=1.0,
+        )
+        # zeros of either sign come back as +0.0; every other entry keeps its bits
+        expected = (matrix + 0.0).tobytes()
+        packed_path, text_path, again = (tmp_path / name for name in ("p.json", "t.json", "a.json"))
+        save_problem(p, packed_path)
+        text_path.write_text(upper_text_json(p), encoding="utf-8")
+        for path in (packed_path, text_path):
+            assert load_problem(path).objective.matrix.tobytes() == expected
+        save_problem(load_problem(packed_path), again)
+        assert again.read_bytes() == packed_path.read_bytes()
 
 
 class TestReferenceOptimum:
@@ -457,6 +537,52 @@ DENSE_QUADRATIC_N3 = """{
       [0.59999999999999998, 0.20000000000000001, 0.10000000000000001],
       [0.20000000000000001, 0.5, 0.14999999999999999],
       [0.10000000000000001, 0.14999999999999999, 0.69999999999999996]
+    ]
+  },
+  "constraints": {
+    "sparse": [
+      {
+        "indices": [0],
+        "values": [1.0]
+      },
+      {
+        "indices": [1],
+        "values": [0.80000000000000004]
+      },
+      {
+        "indices": [0, 2],
+        "values": [-0.5, 0.59999999999999998]
+      }
+    ],
+    "offsets": [0.25, 0.28999999999999998, 0.25]
+  },
+  "geometry": "entropy",
+  "oracle": "exact",
+  "witness": [0.20000000000000001, 0.29999999999999999, 0.5],
+  "margin": 0.049999999999999989
+}
+"""
+
+
+# quadratic_n3.json as the text writer wrote it
+UPPER_QUADRATIC_N3 = """{
+  "name": "quadratic-n3",
+  "n": 3,
+  "objective": {
+    "type": "quadratic",
+    "upper": [
+      {
+        "indices": [0, 1, 2],
+        "values": [0.59999999999999998, 0.20000000000000001, 0.10000000000000001]
+      },
+      {
+        "indices": [1, 2],
+        "values": [0.5, 0.14999999999999999]
+      },
+      {
+        "indices": [2],
+        "values": [0.69999999999999996]
+      }
     ]
   },
   "constraints": {

@@ -67,7 +67,7 @@ def test_instance_document_array_matches_list():
     for p in problems:
         doc = problem_to_document(p)
         kinds = {a.dtype.kind for a in _arrays(doc)}
-        # the integer path carries the constraint indices, and the upper rows' for quadratics
+        # the integer path carries the constraint indices; a quadratic's matrix is base64 text
         assert "i" in kinds and "f" in kinds
         assert canonical_json(doc) == canonical_json(listed(doc))
 
