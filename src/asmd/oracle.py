@@ -29,15 +29,20 @@ construction. For the same reason the step evaluates the constraint with
 public ``values``, ``value``, ``value_and_argmax`` and ``gradient`` check
 the point's shape first.
 
-Under the Euclidean geometry the step takes its exact gradient from
-``gradient_on_support`` instead: the prox step projects onto the simplex,
-so most coordinates of an iterate are zero, and ``x[S] @ A[S]`` over the
-support S reads |S| rows of the symmetric matrix, O(|S| n) in place of
-O(n^2). It falls back to ``A @ x`` once |S| passes n / 2, as at the
-uniform starting point, and otherwise differs from ``A @ x`` by rounding
-only. Entropy iterates are never sparse, so entropy solves keep the dense
-product and skip the support scan. ``gradient`` stays dense: it is the
-reference the support product is tested against.
+Under the Euclidean geometry the prox step projects onto the simplex, so
+most coordinates of an iterate are zero, and the step reads both oracles
+over the iterate's support S, which it scans once, ``support_of(x)``, and
+passes to each. The constraint values are ``x[S] @ C'[S] - b`` from
+``term_columns``, a C-contiguous copy of the transposed term matrix,
+O(|S| m) in place of O(n m); the exact gradient comes from
+``gradient_on_support``, ``x[S] @ A[S]`` over |S| rows of the symmetric
+matrix, O(|S| n) in place of O(n^2). Both fall back to the dense product
+once |S| passes n / 2, as at the uniform starting point, and otherwise
+differ from it by rounding only. The public ``values`` scans the support
+itself and applies the same rule, so it returns a step's values bit for
+bit. Entropy iterates are never sparse, so entropy steps keep the dense
+products and skip the scan. ``gradient`` stays dense: it is the reference
+the support product is tested against.
 
 Randomness is confined to ``RngStream`` objects owned by each solver run,
 so concurrent runs with distinct streams never interact.
@@ -100,6 +105,12 @@ def _is_symmetric(a: np.ndarray) -> bool:
     return True
 
 
+def support_of(x: np.ndarray) -> np.ndarray:
+    """The indices of x's nonzero coordinates, ``x.nonzero()[0]``, from a
+    boolean mask, which numpy scans about twice as fast as the floats."""
+    return x.astype(bool).nonzero()[0]
+
+
 def _as_distribution(x) -> np.ndarray:
     """Clip round-off negatives to zero, without renormalizing: callers
     scale their uniform draw by the total mass ``cdf[-1]`` instead, which
@@ -160,6 +171,23 @@ class QuadraticObjective:
         # checked after symmetrizing, because a + a' can overflow
         if not np.isfinite(a).all():
             raise ValueError("matrix has non-finite entries")
+        self._adopt(a)
+
+    @classmethod
+    def _from_symmetric(cls, matrix: np.ndarray) -> "QuadraticObjective":
+        """The objective on ``matrix`` itself, without a copy or a scan.
+
+        For a caller that built a finite, exactly symmetric square float
+        array and checked it already, as the instance reader does for the
+        upper-triangle forms, and that writes to it no more: it is made
+        read-only here.
+        """
+        objective = cls.__new__(cls)
+        objective.symmetrized = False
+        objective._adopt(matrix)
+        return objective
+
+    def _adopt(self, a: np.ndarray) -> None:
         a.flags.writeable = False
         self.matrix = a
         self.dimension = a.shape[0]
@@ -179,15 +207,15 @@ class QuadraticObjective:
         """``gradient`` for a float vector of the right shape, unchecked."""
         return self.matrix @ x
 
-    def gradient_on_support(self, x: np.ndarray) -> np.ndarray:
+    def gradient_on_support(self, x: np.ndarray, support: np.ndarray) -> np.ndarray:
         """``A x`` from the rows of x's support S, ``x[S] @ A[S]``, unchecked.
 
-        Row i is column i, since the matrix is exactly symmetric, so this
-        reads |S| rows, O(|S| n), and differs from ``A @ x`` by rounding
-        only. Past half the coordinates the gather would copy most of A, so
-        it falls back to ``A @ x`` itself.
+        ``support`` is ``support_of(x)``, scanned once by the caller. Row i
+        is column i, since the matrix is exactly symmetric, so this reads
+        |S| rows, O(|S| n), and differs from ``A @ x`` by rounding only.
+        Past half the coordinates the gather would copy most of A, so it
+        falls back to ``A @ x`` itself.
         """
-        support = x.nonzero()[0]
         if 2 * support.size > self.dimension:
             return self.matrix @ x
         # dot, not @: the same product with less call overhead
@@ -221,7 +249,7 @@ class LinearObjective:
         """``gradient`` for a float vector of the right shape, unchecked."""
         return self.coefficients
 
-    def gradient_on_support(self, x: np.ndarray) -> np.ndarray:
+    def gradient_on_support(self, x: np.ndarray, support: np.ndarray) -> np.ndarray:
         """The coefficient vector: a constant gradient has no support to use."""
         return self.coefficients
 
@@ -235,8 +263,12 @@ class MaxLinearConstraint:
     ``term_matrix @ x - offsets`` (row m of ``term_matrix`` is c_m), exact
     off the simplex too. Row m of ``directions`` is ``c_m - b_m * ones``;
     on the simplex it induces the same values, and it is the subgradient
-    the solver applies and whose dual norm it records. Every array it
-    holds is read-only, so callers may hold rows without copying. Argmax
+    the solver applies and whose dual norm it records. ``term_columns`` is
+    a C-contiguous copy of the transposed term matrix: its row i holds
+    every term's coefficient of x_i, so values at a point whose support S
+    is at most half the coordinates read only |S| of its rows (see
+    ``values_unchecked``). Every array it holds is read-only, so callers
+    may hold rows without copying. Argmax
     ties break to the smallest index so traces are reproducible (any
     maximizer is a valid subgradient).
 
@@ -293,9 +325,13 @@ class MaxLinearConstraint:
         # an overflowing raw entry (repeated indices) overflows its shifted row too
         if not np.isfinite(shifted).all():
             raise ValueError("shifted directions c_m - b_m overflow")
-        for array in (offs, raw, shifted):
+        # a copy, not a transposed layout of raw: the dense product
+        # term_matrix @ x keeps its bits only in the row-major layout
+        columns = np.ascontiguousarray(raw.T)
+        for array in (offs, raw, shifted, columns):
             array.flags.writeable = False
         self.term_matrix = raw
+        self.term_columns = columns
         self.directions = shifted
 
     @property
@@ -303,12 +339,23 @@ class MaxLinearConstraint:
         return len(self.terms)
 
     def values(self, x) -> np.ndarray:
-        """All affine term values ``C x - b`` at x, from the term matrix."""
-        return self.values_unchecked(_check_point(x, self.dimension))
+        """All affine term values ``C x - b`` at x, read over x's support
+        by the rule of ``values_unchecked``."""
+        x = _check_point(x, self.dimension)
+        return self.values_unchecked(x, support_of(x))
 
-    def values_unchecked(self, x: np.ndarray) -> np.ndarray:
-        """``values`` for a float vector of the right shape, unchecked."""
-        return self.term_matrix @ x - self.offsets
+    def values_unchecked(self, x: np.ndarray, support: np.ndarray | None = None) -> np.ndarray:
+        """``C x - b`` for a float vector of the right shape, unchecked.
+
+        Given x's support S, ``support_of(x)``, with 2 |S| <= n, this is
+        ``x[S] @ term_columns[S] - b``, O(|S| m), which differs from the
+        dense ``term_matrix @ x - b`` by rounding only. Without a support,
+        or past half the coordinates, it is the dense product itself.
+        """
+        if support is None or 2 * support.size > self.dimension:
+            return self.term_matrix @ x - self.offsets
+        # dot, not @: the same product with less call overhead
+        return x.take(support).dot(self.term_columns.take(support, axis=0)) - self.offsets
 
     def value_and_argmax(self, x) -> tuple[float, int]:
         """Value at x and the index of the active term, from one evaluation;

@@ -122,16 +122,18 @@ class ProblemInstance:
     def objective_value(self, x) -> float:
         return self.objective.value(x)
 
-    def objective_sample(self, x, rng: RngStream) -> np.ndarray:
+    def objective_sample(self, x, rng: RngStream, support: np.ndarray | None = None) -> np.ndarray:
         """The step's gradient sample at its own iterate x, unchecked: the
-        iterates are float vectors on the simplex by construction. An exact
-        Euclidean sample is the product over x's support: projected
-        iterates are sparse, entropy iterates never are."""
+        iterates are float vectors on the simplex by construction. Given
+        x's support, ``oracle.support_of(x)``, which a Euclidean step scans
+        once for its constraint values too, an exact sample is the product
+        over it; without one, the dense gradient. Projected iterates are
+        sparse, entropy iterates never are."""
         if self.oracle_mode == "column":
             return self.objective.matrix[draw_index(x, rng)]
-        if self.geometry_kind == "euclidean":
-            return self.objective.gradient_on_support(x)
-        return self.objective.gradient_unchecked(x)
+        if support is None:
+            return self.objective.gradient_unchecked(x)
+        return self.objective.gradient_on_support(x, support)
 
     def constraint_value(self, x) -> float:
         return self.constraint.value(x)
@@ -396,11 +398,21 @@ def _locate_upper(key: str, row=None) -> str:
     return "'objective.upper'" if row is None else f"'objective.upper[{row}]'"
 
 
-def _quadratic_matrix(objective_doc: dict, n: int) -> np.ndarray:
+def _quadratic_objective(objective_doc: dict, n: int) -> QuadraticObjective:
+    """The objective of a quadratic's document. The two upper-triangle
+    forms build a finite, exactly symmetric matrix, which the objective
+    takes as it is; a dense ``A`` and ``triplets`` go through its checked
+    constructor."""
     if "packed" in objective_doc:
-        return _upper_matrix(*_packed_arrays(objective_doc["packed"]), n, _locate_packed)
+        arrays = _packed_arrays(objective_doc["packed"])
+        return QuadraticObjective._from_symmetric(_upper_matrix(*arrays, n, _locate_packed))
     if "upper" in objective_doc:
-        return _upper_matrix(*_text_arrays(objective_doc["upper"]), n, _locate_upper)
+        arrays = _text_arrays(objective_doc["upper"])
+        return QuadraticObjective._from_symmetric(_upper_matrix(*arrays, n, _locate_upper))
+    return QuadraticObjective(_dense_matrix(objective_doc, n))
+
+
+def _dense_matrix(objective_doc: dict, n: int) -> np.ndarray:
     if "A" in objective_doc:
         matrix = _typed_array(objective_doc["A"], "objective.A", nested=True)
         if matrix.shape != (n, n):
@@ -434,7 +446,7 @@ def problem_from_document(doc) -> ProblemInstance:
     objective_doc = _field(doc, "objective")
     obj_type = _field(objective_doc, "type", "objective")
     if obj_type == "quadratic":
-        objective = QuadraticObjective(_quadratic_matrix(objective_doc, n))
+        objective = _quadratic_objective(objective_doc, n)
     elif obj_type == "linear":
         c = _typed_array(_field(objective_doc, "c", "objective"), "objective.c")
         if c.shape != (n,):

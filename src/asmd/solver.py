@@ -28,17 +28,18 @@ their last digits; the Euclidean step is ``prox_map``'s own, bit for bit.
 Each step is yielded as an immutable ``StepState`` tuple.
 
 A productive step samples through ``ProblemInstance.objective_sample``.
-With the exact oracle under Euclidean geometry that is the product over
-the iterate's support, ``x[S] @ A[S]``: a projected iterate is sparse, so
-the step reads |S| rows of the matrix instead of all n, falling back to
-``A @ x`` past half the coordinates. It differs from ``A @ x`` by
-rounding only, but a run carries such differences forward, so a late
-constraint value close to epsilon can land on the other side of it and
-move N by a step. Entropy iterates are never sparse and keep the dense
-product. The adaptive step takes one square root of the
-running sum for both its stepsize and its stopping test, with the same
-expressions as ``step_size`` and ``stopping_criterion``, the public
-reference.
+Under Euclidean geometry a projected iterate is sparse, so the step scans
+its support S once, ``support_of(x)``, and hands it to both oracles: the
+constraint values are read from |S| columns of the term matrix, and an
+exact sample is the product ``x[S] @ A[S]`` over |S| rows of the matrix,
+each falling back to the dense product past half the coordinates. Each
+differs from the dense product by rounding only, but a run carries such
+differences forward, so a late constraint value close to epsilon can land
+on the other side of it and move N by a step. Entropy iterates are never
+sparse: their steps skip the scan and keep the dense products. The
+adaptive step takes one square root of the running sum for both its
+stepsize and its stopping test, with the same expressions as
+``step_size`` and ``stopping_criterion``, the public reference.
 
 The step never evaluates the objective. A traced run computes the trace's
 f-values in blocks of ``TRACE_BLOCK`` (64) iterates, one matrix product
@@ -68,7 +69,7 @@ from .geometry import (
     dual_norm,
     on_simplex,
 )
-from .oracle import RngStream
+from .oracle import RngStream, support_of
 from .problems import ProblemInstance
 
 ADAPTIVE = "adaptive"
@@ -223,6 +224,9 @@ def mirror_descent_steps(problem: ProblemInstance, config: SolverConfig) -> Iter
     radius = geom.radius
     rng = RngStream(config.seed)
     constraint_values = problem.constraint.values_unchecked
+    # projected iterates are sparse, entropy iterates never are
+    sparse = geom.kind == "euclidean"
+    support = None
     directions = problem.constraint.directions
     # a non-productive step's sample is a fixed direction: its norm is known
     direction_norms = [norm(d) for d in directions]
@@ -245,12 +249,14 @@ def mirror_descent_steps(problem: ProblemInstance, config: SolverConfig) -> Iter
     k = 0
     while True:
         k += 1
-        values = constraint_values(x)
+        if sparse:
+            support = support_of(x)
+        values = constraint_values(x, support)
         active = values.argmax()  # ties to the smallest index
         g_value = float(values[active])
         productive = g_value <= epsilon
         if productive:
-            gradient = problem.objective_sample(x, rng)
+            gradient = problem.objective_sample(x, rng, support)
             m_k = norm(gradient)
         else:
             gradient = directions[active]

@@ -20,9 +20,26 @@ from asmd.geometry import (
     project_simplex,
     prox_map,
 )
+from asmd.problems import generate_instance
+from asmd.solver import SolverConfig, mirror_descent_steps
 
 ENT2 = Geometry(2, "entropy")
 EUC2 = Geometry(2, "euclidean")
+
+
+def reference_projection(v) -> np.ndarray:
+    """The sort-and-threshold projection as first written, one numpy call per
+    quantity: the reference ``project_simplex`` must match bit for bit."""
+    v = np.asarray(v, dtype=float)
+    u = np.sort(v)[::-1]
+    css = np.cumsum(u)
+    idx = np.arange(1, v.size + 1)
+    passing = np.nonzero(u * idx > css - 1.0)[0]
+    if passing.size == 0:
+        return reference_projection(v - u[0])
+    rho = passing[-1]
+    theta = (css[rho] - 1.0) / (rho + 1.0)
+    return np.maximum(v - theta, 0.0)
 
 
 class TestGeometryConstruction:
@@ -275,6 +292,37 @@ class TestProjectSimplex:
     def test_huge_coordinates(self, v, expected):
         # past 2**53 the threshold test finds no index without the max shift
         np.testing.assert_array_equal(project_simplex(np.array(v)), expected)
+
+    @given(st.lists(st.floats(-1e18, 1e18, allow_nan=False), min_size=1, max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_reference(self, values):
+        v = np.array(values)
+        np.testing.assert_array_equal(project_simplex(v), reference_projection(v))
+
+    @pytest.mark.parametrize("v", [
+        [0.3], [-7.0], [0.0], [1e17],  # n = 1
+        [0.5, 0.5], [2.0, -1.0], [-0.0, 0.0], [1e17, -1e17],  # n = 2
+        [0.25, 0.25, 0.25, 0.25], [1.0, 1.0, 0.0, 0.0], [0.4, 0.4, 0.4, -3.0],  # ties
+        [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0],  # vertices
+        [2.0**53, 2.0**53 + 2, 0.0], [1e300, -1e300, 3.0], [1e17, 1e17 - 16, 1.0],  # past 2**53
+    ])
+    def test_edge_cases_match_the_reference(self, v):
+        v = np.array(v)
+        np.testing.assert_array_equal(project_simplex(v), reference_projection(v))
+
+    @pytest.mark.parametrize("oracle", ["exact", "column"])
+    def test_solve_prox_inputs_match_the_reference(self, oracle):
+        # every prox input x - h g of a Euclidean n = 50 solve
+        p = generate_instance(50, m_count=10, density=0.1, seed=7,
+                              geometry="euclidean", oracle=oracle)
+        steps = 0
+        for st_state in mirror_descent_steps(p, SolverConfig(epsilon=0.05, seed=1)):
+            v = st_state.x - st_state.h * st_state.gradient
+            expected = reference_projection(v)
+            np.testing.assert_array_equal(project_simplex(v), expected)
+            np.testing.assert_array_equal(st_state.x_next, expected)
+            steps += 1
+        assert steps > 100
 
 
 def test_interior_clamp_keeps_values_close():

@@ -10,6 +10,7 @@ from asmd.oracle import (
     _is_symmetric,
     sample_simplex_index,
     sample_simplex_indices,
+    support_of,
     unbiasedness_report,
 )
 from asmd.problems import (
@@ -128,7 +129,7 @@ class TestQuadraticObjective:
                 support = rng.choice(n, size=size, replace=False)
                 x[support] = rng.dirichlet(np.ones(size)) if size else []
                 dense = q.matrix @ x
-                product = q.gradient_on_support(x)
+                product = q.gradient_on_support(x, x.nonzero()[0])
                 if 2 * size > n:
                     # the dense fallback, bit for bit
                     np.testing.assert_array_equal(product, dense)
@@ -268,7 +269,8 @@ class TestLinearObjective:
 
     def test_gradient_on_support_is_the_coefficients(self):
         obj = LinearObjective([1.0, 2.0, 3.0])
-        assert obj.gradient_on_support(np.array([0.0, 1.0, 0.0])) is obj.coefficients
+        x = np.array([0.0, 1.0, 0.0])
+        assert obj.gradient_on_support(x, x.nonzero()[0]) is obj.coefficients
 
     def test_gradient_is_read_only(self):
         obj = LinearObjective([1.0, 2.0])
@@ -331,6 +333,47 @@ class TestMaxLinearConstraint:
             c.value_batch(pts), [c.value(p) for p in pts], rtol=1e-15, atol=1e-15
         )
 
+    def test_support_scan_is_nonzero(self):
+        x = np.array([0.0, -0.0, 5e-324, np.nan, -2.0, 0.5, np.inf, 0.0])
+        np.testing.assert_array_equal(support_of(x), x.nonzero()[0])
+        np.testing.assert_array_equal(support_of(np.zeros(3)), np.zeros(0, dtype=np.intp))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 50])
+    def test_values_on_support(self, n):
+        rng = np.random.default_rng(100 + n)
+        rows = rng.standard_normal((7, n)) * (rng.random((7, n)) < 0.5)
+        c = make_constraint(rows, rng.standard_normal(7))
+        # each product sums at most n terms, so each is within gamma_n |C| |x|
+        # of the exact values (Higham, Thm 3.5), and subtracting the offsets
+        # rounds each result once more
+        eps = np.finfo(float).eps
+        gamma = n * eps / (1.0 - n * eps)
+        steps = 0
+        for size in sorted({0, 1, n // 2, n // 2 + 1, n}):
+            for _ in range(5):
+                x = np.zeros(n)
+                support = rng.choice(n, size=size, replace=False)
+                x[support] = rng.dirichlet(np.ones(size)) if size else []
+                dense = c.term_matrix @ x - c.offsets
+                values = c.values(x)
+                # one support rule for the public and the step's evaluation
+                np.testing.assert_array_equal(values, c.values_unchecked(x, x.nonzero()[0]))
+                np.testing.assert_array_equal(c.values_unchecked(x), dense)
+                assert c.value_and_argmax(x) == (values.max(), int(values.argmax()))
+                if 2 * size > n:
+                    # the dense fallback, bit for bit
+                    np.testing.assert_array_equal(values, dense)
+                else:
+                    bound = 2 * gamma * (np.abs(c.term_matrix) @ x) + 2 * eps * np.abs(dense)
+                    assert (np.abs(values - dense) <= bound).all()
+                    cols = np.sort(support)
+                    np.testing.assert_array_equal(
+                        values, np.dot(x[cols], c.term_columns[cols]) - c.offsets)
+                    steps += 1
+        assert steps > 0
+        np.testing.assert_array_equal(c.term_columns, c.term_matrix.T)
+        assert c.term_columns.flags.c_contiguous
+
     def test_validation(self):
         with pytest.raises(ValueError):
             MaxLinearConstraint([([0], [1.0, 2.0])], [0.0], 2)
@@ -363,7 +406,7 @@ def test_oracle_arrays_refuse_writes():
     p = generate_instance(n=6, m_count=3, density=0.5, seed=7)
     c = p.constraint
     g_before = c.value(np.full(6, 1.0 / 6))
-    arrays = [p.objective.matrix, c.offsets, c.term_matrix, c.directions]
+    arrays = [p.objective.matrix, c.offsets, c.term_matrix, c.term_columns, c.directions]
     arrays += [a for term in c.terms for a in term]
     arrays.append(LinearObjective([1.0, 2.0]).coefficients)
     for a in arrays:

@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from asmd import oracle
 from asmd.geometry import dual_norm
 from asmd.oracle import LinearObjective, MaxLinearConstraint, QuadraticObjective
 from asmd.fixtures import QUADRATIC_N3, fixture_path, load_fixture
@@ -406,6 +407,27 @@ class TestCompactFiles:
             assert q.objective.matrix.tobytes() == r.objective.matrix.tobytes()
             assert_instances_equal(q, r)
             assert_instances_equal(r, expected)
+
+    def test_upper_forms_skip_the_symmetry_scan(self, tmp_path, monkeypatch):
+        # the two scatters build a finite, exactly symmetric matrix, which the
+        # objective takes as it is; a dense "A" still goes through the checks
+        p = generate_instance(50, seed=3)
+        packed_path, text_path = tmp_path / "packed.json", tmp_path / "text.json"
+        save_problem(p, packed_path)
+        text_path.write_text(upper_text_json(p), encoding="utf-8")
+        dense = problem_to_document(p)
+        dense["objective"] = {"type": "quadratic", "A": p.objective.matrix.tolist()}
+        scans = []
+        is_symmetric = oracle._is_symmetric
+        monkeypatch.setattr(oracle, "_is_symmetric", lambda a: scans.append(a) or is_symmetric(a))
+        for q in (load_problem(packed_path), load_problem(text_path)):
+            assert not q.objective.symmetrized
+            assert not q.objective.matrix.flags.writeable
+            assert (q.objective.matrix == p.objective.matrix).all()
+        assert scans == []
+        q = problem_from_document(dense)
+        assert len(scans) == 1 and not q.objective.symmetrized
+        assert q.objective.matrix.tobytes() == p.objective.matrix.tobytes()
 
     def test_edge_values_keep_their_bits(self, tmp_path):
         sub = 2.2250738585072014e-308 / 4  # subnormal

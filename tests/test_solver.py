@@ -61,19 +61,26 @@ def check_steps(problem, config):
     productive or not, is one prox move along the recorded sample: bit for
     bit under Euclidean, and to rounding under entropy, whose step carries
     log-weights where ``prox_map`` takes the log of the iterate. Returns the
-    number of exact Euclidean samples taken from the rows of the support."""
+    number of exact Euclidean samples taken from the rows of the support and
+    the number of Euclidean constraint evaluations taken from its columns."""
     geom = problem.geometry()
     radius = geom.radius
     constraint = problem.constraint
     objective = problem.objective
     n = problem.dimension
     support_products = 0
+    support_values = 0
     for st_state in mirror_descent_steps(problem, config):
         assert on_simplex(st_state.x)
         assert on_simplex(st_state.x_next)
         assert st_state.M == dual_norm(geom, st_state.gradient)
         g_value, active = constraint.value_and_argmax(st_state.x)
         assert st_state.g_value == g_value
+        support = np.flatnonzero(st_state.x)
+        if geom.kind == "euclidean" and 2 * support.size <= n:
+            values = np.dot(st_state.x[support], constraint.term_columns[support])
+            assert st_state.g_value == (values - constraint.offsets).max()
+            support_values += 1
         assert st_state.productive == (g_value <= config.epsilon)
         if not st_state.productive:
             assert np.array_equal(st_state.gradient, constraint.directions[active])
@@ -89,7 +96,6 @@ def check_steps(problem, config):
             if isinstance(objective, LinearObjective) or geom.kind == "entropy":
                 expected = reference
             else:
-                support = np.flatnonzero(st_state.x)
                 if 2 * support.size <= n:
                     expected = np.dot(st_state.x[support], objective.matrix[support])
                     support_products += 1
@@ -108,7 +114,7 @@ def check_steps(problem, config):
             np.testing.assert_array_equal(st_state.x_next, expected)
         else:
             np.testing.assert_allclose(st_state.x_next, expected, rtol=0, atol=1e-12)
-    return support_products
+    return support_products, support_values
 
 
 class TestStepSize:
@@ -320,6 +326,7 @@ class TestSolveAdaptive:
         ]
         runs = 0
         support_products = 0
+        support_values = 0
         for base in bases:
             quadratic = isinstance(base.objective, QuadraticObjective)
             for kind in geometry.GEOMETRY_KINDS:
@@ -330,11 +337,14 @@ class TestSolveAdaptive:
                         SolverConfig(epsilon=0.1, seed=1),
                         SolverConfig(epsilon=0.2, seed=1, variant=FIXED, fixed_M=bound),
                     ):
-                        support_products += check_steps(problem, config)
+                        products, values = check_steps(problem, config)
+                        support_products += products
+                        support_values += values
                         runs += 1
         assert runs == 20
-        # the support product ran, not only its dense fallback
+        # the support products ran, not only their dense fallbacks
         assert support_products > 0
+        assert support_values > support_products
 
     def test_step_record_is_immutable(self, quad_problem):
         first = next(iter(mirror_descent_steps(quad_problem, SolverConfig(epsilon=0.05))))
@@ -345,15 +355,42 @@ class TestSolveAdaptive:
 
     def test_constraint_evaluated_once_per_step(self, quad_problem, monkeypatch):
         calls = []
+        samples = []
         values = MaxLinearConstraint.values_unchecked
+        sample = ProblemInstance.objective_sample
 
-        def counted(constraint, x):
-            calls.append(1)
-            return values(constraint, x)
+        def counted(constraint, x, support=None):
+            calls.append((x, support))
+            return values(constraint, x, support)
 
+        def recorded(problem, x, rng, support=None):
+            samples.append((x, support))
+            return sample(problem, x, rng, support)
+
+        bases = (quad_problem, generate_instance(50, m_count=10, density=0.1, seed=7))
+        instances = [
+            dataclasses.replace(base, geometry_kind=kind, oracle_mode=mode)
+            for base in bases
+            for kind in geometry.GEOMETRY_KINDS
+            for mode in ("exact", "column")
+        ]
+        # patched after the instances are built, whose checks evaluate the witness
         monkeypatch.setattr(MaxLinearConstraint, "values_unchecked", counted)
-        result = solve_adaptive(quad_problem, SolverConfig(epsilon=0.05))
-        assert len(calls) == result.N
+        monkeypatch.setattr(ProblemInstance, "objective_sample", recorded)
+        for problem in instances:
+            calls.clear()
+            samples.clear()
+            result = solve_adaptive(problem, SolverConfig(epsilon=0.05, seed=1))
+            assert len(calls) == result.N
+            assert len(samples) == result.N_I > 0
+            evaluated = {id(x): support for x, support in calls}
+            for x, support in samples:
+                # the support the step scanned for its own constraint evaluation
+                assert evaluated[id(x)] is support
+                if problem.geometry_kind == "euclidean":
+                    np.testing.assert_array_equal(support, np.flatnonzero(x))
+                else:
+                    assert support is None
 
     def test_reproducible_bit_exact(self, quad_problem):
         stochastic = dataclasses.replace(quad_problem, oracle_mode="column")
