@@ -178,9 +178,11 @@ class QuadraticObjective:
         """The objective on ``matrix`` itself, without a copy or a scan.
 
         For a caller that built a finite, exactly symmetric square float
-        array and checked it already, as the instance reader does for the
-        upper-triangle forms, and that writes to it no more: it is made
-        read-only here.
+        array and checked it already, and that writes to it no more: it is
+        made read-only here. The two callers are the instance reader, for
+        the upper-triangle forms (``problems._quadratic_objective``), and
+        the generator, whose in-place symmetric part is symmetric by
+        construction (``problems.generate_instance``).
         """
         objective = cls.__new__(cls)
         objective.symmetrized = False

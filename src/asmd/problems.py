@@ -22,6 +22,11 @@ hand-written files use: ``"upper"``, one ``{"indices": [...], "values":
 ``"triplets"`` of [i, j, value], added up. Both upper-triangle forms go
 through one check of sizes, index range and order, and finite values.
 
+At large n the matrix is the one big array, so generation and the writer
+work on it in strips of ``_ROW_BLOCK`` rows: the generator masks and
+symmetrizes the matrix in place, and the writer scans only the upper
+triangle, strip by strip. Neither holds a second n x n array.
+
 The reader checks the types of each parsed list at once, from the set of
 its element types: booleans, strings and nested lists are rejected where a
 real or an index is expected, with the field named, and no element is
@@ -50,6 +55,12 @@ from .oracle import (
 from .serialize import atomic_write_text, canonical_json
 
 ORACLE_MODES = ("exact", "column")
+
+#: Rows per block of the generator's mask and symmetrization and of the
+#: writer's upper-triangle scan, which bounds each temporary to
+#: ``_ROW_BLOCK x n`` beside the n x n matrix; ``oracle.SYMMETRY_BLOCK`` is
+#: the same size.
+_ROW_BLOCK = 128
 
 
 class InstanceFormatError(ValueError):
@@ -139,6 +150,32 @@ class ProblemInstance:
         return self.constraint.value(x)
 
 
+def _symmetric_masked_normal(rng: np.random.Generator, n: int, density: float) -> np.ndarray:
+    """``0.5 * (b + b.T)`` for ``b = N * (U < density)``, with N then U drawn
+    as n x n standard normals and uniforms, built bit for bit inside the
+    array of normals, the only n x n array it allocates.
+
+    The uniforms come ``_ROW_BLOCK`` rows at a time, which consumes the
+    stream exactly as one n x n draw does, and each block masks its rows in
+    place; a masked entry is ``N * 0.0``, a zero of N's sign. Then the
+    strip of rows i:j, past column i, takes ``0.5 * (upper + lower.T)``,
+    the same expression for every entry as the whole-matrix formula, and
+    writes it to both triangles: addition commutes, so the mirrored
+    entries keep their bits too.
+    """
+    a = rng.standard_normal((n, n))
+    for i in range(0, n, _ROW_BLOCK):
+        rows = a[i:i + _ROW_BLOCK]
+        rows *= rng.random(rows.shape) < density
+    for i in range(0, n, _ROW_BLOCK):
+        j = i + _ROW_BLOCK
+        half = a[i:j, i:] + a[i:, i:j].T
+        half *= 0.5
+        a[i:j, i:] = half
+        a[i:, i:j] = half.T
+    return a
+
+
 def generate_instance(
     n: int,
     m_count: int = 10,
@@ -152,12 +189,17 @@ def generate_instance(
     """Random quadratic-over-simplex instance with max-linear constraints.
 
     The matrix is the symmetric part of a density-masked standard normal
-    matrix; constraint directions are masked normals stored sparsely. Each
-    direction is shifted by a scalar offset so a witness point drawn
-    uniformly from the simplex satisfies every constraint with slack
-    ``margin``. The stored margin is the achieved slack ``-g(witness)``,
-    which equals the requested one up to one rounding and makes the
-    identity ``constraint value at witness == -margin`` hold exactly.
+    matrix, built in place (``_symmetric_masked_normal``): the returned
+    matrix is the only n x n array generation holds, beside blocks of
+    ``_ROW_BLOCK`` rows. It is finite and exactly symmetric by
+    construction, so the objective adopts it without the checked
+    constructor's copy and scan. Constraint directions are masked normals
+    stored sparsely. Each direction is shifted by a scalar offset so a
+    witness point drawn uniformly from the simplex satisfies every
+    constraint with slack ``margin``. The stored margin is the achieved
+    slack ``-g(witness)``, which equals the requested one up to one
+    rounding and makes the identity ``constraint value at witness ==
+    -margin`` hold exactly.
 
     Identical arguments reproduce the instance bit for bit.
     """
@@ -170,8 +212,7 @@ def generate_instance(
     if not margin > 0:
         raise ValueError(f"margin must be positive, got {margin}")
     rng = np.random.default_rng(seed)
-    b = rng.standard_normal((n, n)) * (rng.random((n, n)) < density)
-    objective = QuadraticObjective(0.5 * (b + b.T))
+    objective = QuadraticObjective._from_symmetric(_symmetric_masked_normal(rng, n, density))
     raw_terms = []
     for _ in range(m_count):
         vals = rng.standard_normal(n)
@@ -202,17 +243,26 @@ _PACKED_DTYPES = {"counts": "<i4", "indices": "<i4", "values": "<f8"}
 
 
 def _packed_upper(matrix: np.ndarray) -> dict:
-    """The nonzero entries A[i, j], j >= i, as the three packed blobs."""
-    rows, cols = np.nonzero(matrix)
-    upper = cols >= rows
-    rows, cols = rows[upper], cols[upper]
-    arrays = {
-        "counts": np.bincount(rows, minlength=matrix.shape[0]),
-        "indices": cols,
-        "values": matrix[rows, cols],
-    }
+    """The nonzero entries A[i, j], j >= i, as the three packed blobs.
+
+    The upper triangle is scanned in strips of ``_ROW_BLOCK`` rows, rows
+    i:j past column i with the strip's square cut to its upper triangle,
+    so no scan covers the lower half or holds more than a strip's indices.
+    """
+    n = matrix.shape[0]
+    upper_square = np.triu(np.ones((_ROW_BLOCK, _ROW_BLOCK), dtype=bool))
+    counts, indices, values = [], [], []
+    for i in range(0, n, _ROW_BLOCK):
+        strip = matrix[i:i + _ROW_BLOCK, i:]
+        nonzero = strip != 0
+        square = nonzero[:, :_ROW_BLOCK]
+        square &= upper_square[:square.shape[0], :square.shape[1]]
+        counts.append(np.count_nonzero(nonzero, axis=1))
+        indices.append(nonzero.nonzero()[1].astype("<i4") + i)
+        values.append(strip[nonzero])
+    arrays = {"counts": counts, "indices": indices, "values": values}
     return {
-        key: base64.b64encode(arrays[key].astype(dtype).tobytes()).decode("ascii")
+        key: base64.b64encode(np.concatenate(arrays[key]).astype(dtype, copy=False)).decode("ascii")
         for key, dtype in _PACKED_DTYPES.items()
     }
 

@@ -1,7 +1,9 @@
 import base64
 import dataclasses
+import hashlib
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from asmd.problems import (
     save_problem,
     uniform_subgradient_bound,
 )
+from asmd.serialize import canonical_json
 from asmd.solver import SolverConfig, solve_adaptive
 
 from conftest import BAD_PACKED, assert_instances_equal, pack, packed_objective, upper_text_json
@@ -41,7 +44,83 @@ def tiny_linear_problem(geometry="entropy"):
     )
 
 
+def whole_matrix_generation(n, m_count=10, density=0.1, margin=0.05, seed=0):
+    """The matrix, terms, offsets, witness and margin ``generate_instance``
+    draws, by the whole-matrix formula it replaced: one n x n masked draw
+    and ``0.5 * (b + b.T)``."""
+    rng = np.random.default_rng(seed)
+    b = rng.standard_normal((n, n)) * (rng.random((n, n)) < density)
+    matrix = 0.5 * (b + b.T)
+    terms = []
+    for _ in range(m_count):
+        vals = rng.standard_normal(n)
+        idx = np.flatnonzero(rng.random(n) < density)
+        terms.append((idx, vals[idx]))
+    witness = rng.dirichlet(np.ones(n))
+    offsets = [float(np.dot(val, witness[idx])) + margin for idx, val in terms]
+    achieved = -MaxLinearConstraint(terms, offsets, n).value(witness)
+    return matrix, terms, offsets, witness, achieved
+
+
+# sha256 of canonical_json(problem_to_document(p)) for the benchmark's
+# instance pools, taken from the whole-matrix generator; the n = 2000 column
+# instance is also the bytes ``asmd gen --n 2000 --m 10 --density 0.1
+# --seed 7 --oracle column`` writes
+POOL_DIGESTS = [
+    pytest.param(dict(n=50, m_count=10, density=0.1, seed=7),
+                 "29f0a85a89335c837edc9c78df988478c3980e56d4d40c7eee3ac0279e2675c7", id="n50-7"),
+    pytest.param(dict(n=50, m_count=10, density=0.1, seed=8),
+                 "d365ae1c1d2c1b05dfd9bf54103afaf003dd2af07530190cd32086d38aee32e2", id="n50-8"),
+    pytest.param(dict(n=50, m_count=10, density=0.1, seed=9),
+                 "b54155bba5a3566f328293aedee7eeca6c7dd17853e4f0591dbb983aeb0c1904", id="n50-9"),
+    pytest.param(dict(n=50, m_count=10, density=0.1, seed=10),
+                 "9f85edea47291e084e8a2ceca058fdefe552432c3f55feb4523d728cc090098c", id="n50-10"),
+    pytest.param(dict(n=500, m_count=200, density=0.1, seed=7, geometry="euclidean"),
+                 "91db9295e6f8d7e89a34fc6bd691534732e0eb68f9814b96e847c35bf0975dea",
+                 id="n500-m200-7"),
+    pytest.param(dict(n=2000, m_count=10, density=0.1, seed=7, oracle="column"),
+                 "fe59232dd83937005e45b634988b59d09d84a6088b1b63ca14b5a9996bfb74b1",
+                 id="n2000-column-7"),
+]
+
+
 class TestGeneration:
+    @pytest.mark.parametrize("geometry", ["entropy", "euclidean"])
+    @pytest.mark.parametrize("n", [2, 3, 127, 128, 129, 300])
+    def test_matches_the_whole_matrix_formula(self, n, geometry):
+        # the in-place strips keep every bit, signed zeros included
+        p = generate_instance(n, m_count=4, density=0.3, seed=n, geometry=geometry)
+        matrix, terms, offsets, witness, margin = whole_matrix_generation(
+            n, m_count=4, density=0.3, seed=n)
+        assert p.objective.matrix.tobytes() == matrix.tobytes()
+        assert p.constraint.count == len(terms)
+        for (idx, val), (ref_idx, ref_val) in zip(p.constraint.terms, terms):
+            assert np.array_equal(idx, ref_idx)
+            assert val.tobytes() == ref_val.tobytes()
+        assert p.constraint.offsets.tobytes() == np.array(offsets).tobytes()
+        assert p.feasible_witness.tobytes() == witness.tobytes()
+        assert repr(p.margin) == repr(margin)
+
+    def test_matrix_holds_signed_zeros(self):
+        # the bit check above must see both zeros, or it would not test them
+        matrix = generate_instance(300, density=0.3, seed=300).objective.matrix
+        zeros = matrix[matrix == 0]
+        assert np.signbit(zeros).any() and not np.signbit(zeros).all()
+
+    @pytest.mark.parametrize("arguments, digest", POOL_DIGESTS)
+    def test_pool_documents_keep_their_digests(self, arguments, digest):
+        text = canonical_json(problem_to_document(generate_instance(**arguments)))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+    def test_adopts_the_matrix_without_the_symmetry_scan(self, monkeypatch):
+        scans = []
+        is_symmetric = oracle._is_symmetric
+        monkeypatch.setattr(oracle, "_is_symmetric", lambda a: scans.append(a) or is_symmetric(a))
+        p = generate_instance(300, seed=5)
+        assert scans == []
+        assert not p.objective.symmetrized
+        assert not p.objective.matrix.flags.writeable
+
     def test_regeneration_is_bit_identical(self):
         a = generate_instance(12, m_count=5, density=0.3, margin=0.1, seed=99)
         b = generate_instance(12, m_count=5, density=0.3, margin=0.1, seed=99)
@@ -380,7 +459,8 @@ class TestCompactFiles:
         stored = np.frombuffer(base64.b64decode(objective["packed"]["values"]), "<f8").size
         assert counts.sum() == stored == np.count_nonzero(np.triu(p.objective.matrix)) > 0
 
-    @pytest.mark.parametrize("n, seed", [(2, 0), (3, 1), (50, 7), (300, 5)])
+    @pytest.mark.parametrize(
+        "n, seed", [(2, 0), (3, 1), (50, 7), (128, 2), (129, 3), (257, 4), (300, 5)])
     def test_packed_blobs_hold_the_text_rows(self, n, seed):
         # the same entries, in the same order, as the text rows from np.triu
         p = generate_instance(n, seed=seed)
@@ -456,6 +536,49 @@ class TestCompactFiles:
             assert load_problem(path).objective.matrix.tobytes() == expected
         save_problem(load_problem(packed_path), again)
         assert again.read_bytes() == packed_path.read_bytes()
+
+
+def traced_peak(call):
+    """``call()`` and the peak of the allocations tracemalloc saw while it
+    ran, above those live before it; numpy reports its buffers to it."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        live, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        result = call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return result, peak - live
+
+
+class TestPeakMemory:
+    """Peaks at n = 2000 as multiples of the 8 n^2 bytes of the matrix.
+
+    Generation builds the matrix in place and peaks at about 1.15 times it
+    (the whole-matrix formula took 3.15). Writing peaks at 0.77 times it
+    over the live instance, in the text of the document, and loading at
+    1.47, its result included; those two bounds allow 10% more.
+    """
+
+    N = 2000
+    MATRIX_BYTES = 8 * N * N
+
+    def test_generation_holds_one_matrix(self):
+        _, peak = traced_peak(lambda: generate_instance(self.N, seed=7, oracle="column"))
+        assert peak <= 1.25 * self.MATRIX_BYTES
+
+    def test_save_and_load(self, tmp_path):
+        instance = generate_instance(self.N, seed=7, oracle="column")
+        path = tmp_path / "instance.json"
+        _, peak = traced_peak(lambda: save_problem(instance, path))
+        assert peak <= 1.1 * 0.77 * self.MATRIX_BYTES
+        loaded, peak = traced_peak(lambda: load_problem(path))
+        assert peak <= 1.1 * 1.47 * self.MATRIX_BYTES
+        assert loaded.objective.matrix.nbytes == self.MATRIX_BYTES
 
 
 class TestReferenceOptimum:
