@@ -4,29 +4,13 @@ over the probability simplex.
 The package couples pluggable proximal geometries (Euclidean and entropy)
 with exact and sampling first-order oracles, an adaptive-stepsize solver
 with a fixed-stepsize baseline, instance generation and storage, and a CLI
-for benchmarks and statistical validation.
+for benchmarks and statistical validation. The names below are what a
+caller of the solvers needs; the analysis checks and their checked
+references are in ``asmd.checks``, which this package does not import.
 """
 
-from .geometry import (
-    Geometry,
-    bregman,
-    dgf_gradient,
-    dgf_minimizer,
-    dgf_value,
-    dual_norm,
-    interior_clamp,
-    on_simplex,
-    project_simplex,
-    prox_map,
-)
-from .oracle import (
-    LinearObjective,
-    MaxLinearConstraint,
-    QuadraticObjective,
-    RngStream,
-    sample_simplex_index,
-    unbiasedness_report,
-)
+from .geometry import Geometry
+from .oracle import LinearObjective, MaxLinearConstraint, QuadraticObjective
 from .problems import (
     InstanceFormatError,
     InstanceValidationError,
@@ -47,15 +31,8 @@ from .solver import (
     InfeasibleRunError,
     RunResult,
     SolverConfig,
-    min_step_residual,
-    mirror_descent_steps,
-    mirror_step_residual,
     solve_adaptive,
     solve_fixed,
-    step_size,
-    stepsum_gap,
-    stopping_criterion,
-    telescoping_bound_check,
     worst_case_iterations,
 )
 
@@ -74,35 +51,16 @@ __all__ = [
     "MaxLinearConstraint",
     "ProblemInstance",
     "QuadraticObjective",
-    "RngStream",
     "RunResult",
     "SolverConfig",
-    "bregman",
-    "dgf_gradient",
-    "dgf_minimizer",
-    "dgf_value",
-    "dual_norm",
     "generate_instance",
-    "interior_clamp",
     "load_problem",
-    "min_step_residual",
-    "mirror_descent_steps",
-    "mirror_step_residual",
-    "on_simplex",
     "problem_from_document",
     "problem_to_document",
-    "project_simplex",
-    "prox_map",
     "reference_optimum",
-    "sample_simplex_index",
     "save_problem",
     "solve_adaptive",
     "solve_fixed",
-    "step_size",
-    "stepsum_gap",
-    "stopping_criterion",
-    "telescoping_bound_check",
-    "unbiasedness_report",
     "uniform_subgradient_bound",
     "worst_case_iterations",
 ]

@@ -3,8 +3,8 @@
 Subcommands: ``gen`` writes a random instance file, ``solve`` runs a single
 solve and writes a result JSON plus an optional CSV trace, ``benchmark``
 sweeps variants / oracle modes / seeds and writes a summary CSV, and
-``validate`` runs the statistical and analytic property suites against the
-bundled fixtures.
+``validate`` runs the statistical and analytic property suites of
+``checks.SUITES`` against the bundled fixtures.
 
 Exit codes: 0 success (for ``solve``: the stopping rule fired), 1 I/O or
 validation failure, 2 a solve hit the iteration cap (and usage errors, per
@@ -25,9 +25,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .fixtures import LINEAR_N2, QUADRATIC_N3, load_fixture
+from .checks import SUITES
 from .geometry import GEOMETRY_KINDS
-from .oracle import QuadraticObjective, RngStream, unbiasedness_report
 from .problems import (
     ORACLE_MODES,
     InstanceFormatError,
@@ -49,11 +48,8 @@ from .solver import (
     IterationRecord,
     RunResult,
     SolverConfig,
-    min_step_residual,
     solve_adaptive,
     solve_fixed,
-    stepsum_gap,
-    telescoping_bound_check,
     worst_case_iterations,
 )
 
@@ -315,82 +311,6 @@ def cmd_benchmark(args, parser) -> int:
 
 
 # -- validate -------------------------------------------------------------------
-
-def _suite_unbiasedness(samples: int, seed: int):
-    """Column-sampling means must sit within four standard errors of the
-    exact gradient, componentwise (zero-variance components must agree
-    exactly)."""
-    fixture = load_fixture(QUADRATIC_N3)
-    cases = [
-        (QuadraticObjective([[0.0, 2.0], [2.0, 0.0]]), np.array([0.5, 0.5])),
-        (fixture.objective, fixture.feasible_witness),
-        (fixture.objective, np.full(3, 1.0 / 3.0)),
-    ]
-    worst = 0.0
-    for i, (objective, point) in enumerate(cases):
-        report = unbiasedness_report(objective, point, samples, RngStream(seed + i))
-        dev = np.abs(report.empirical_mean - report.reference)
-        for d, s in zip(dev, report.stderr):
-            if s == 0.0:
-                if d != 0.0:
-                    return False, f"zero-variance component deviated by {d:.3e}"
-            else:
-                worst = max(worst, d / s)
-    return worst <= 4.0, f"max |deviation|/stderr = {worst:.3f} (threshold 4)"
-
-
-def _suite_stepsum(samples: int, seed: int):
-    """Random nonnegative sequences across twelve orders of magnitude."""
-    rng = np.random.default_rng(seed)
-    count = 10_000
-    worst = math.inf
-    for _ in range(count):
-        length = int(rng.integers(1, 101))
-        alpha = 10.0 ** rng.uniform(-6.0, 6.0, size=length)
-        if rng.random() < 0.1:
-            alpha[rng.random(length) < 0.5] = 0.0
-        worst = min(worst, stepsum_gap(alpha))
-    return worst >= -1e-10, f"min gap = {worst:.3e} over {count} sequences (threshold -1e-10)"
-
-
-def _validation_runs():
-    for name, epsilon in ((QUADRATIC_N3, 0.05), (LINEAR_N2, 0.05)):
-        problem = load_fixture(name)
-        yield problem, SolverConfig(epsilon=epsilon, seed=0)
-
-
-def _suite_step_residual(samples: int, seed: int):
-    """One-step descent inequality along deterministic runs, checked against
-    ten random feasible reference points."""
-    rng = np.random.default_rng(seed)
-    worst = math.inf
-    for problem, config in _validation_runs():
-        refs = rng.dirichlet(np.ones(problem.dimension), size=10)
-        worst = min(worst, min_step_residual(problem, config, refs))
-    return worst >= -1e-8, f"min residual = {worst:.3e} (threshold -1e-8)"
-
-
-def _suite_telescoping(samples: int, seed: int):
-    """Summed run gaps stay under the telescoped stepsize bound."""
-    worst = -math.inf
-    for problem, config in _validation_runs():
-        result = solve_adaptive(problem, config)
-        report = telescoping_bound_check(
-            result.trace, problem.geometry(), problem, problem.feasible_witness
-        )
-        if not report.holds:
-            return False, f"lhs {report.lhs:.6e} exceeded rhs {report.rhs:.6e}"
-        worst = max(worst, report.lhs - report.rhs)
-    return True, f"max lhs - rhs = {worst:.3e} (threshold 1e-8)"
-
-
-SUITES = {
-    "unbiasedness": _suite_unbiasedness,
-    "stepsum": _suite_stepsum,
-    "step-residual": _suite_step_residual,
-    "telescoping": _suite_telescoping,
-}
-
 
 def cmd_validate(args, parser) -> int:
     if args.suites is None:

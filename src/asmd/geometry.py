@@ -10,23 +10,21 @@ the CLI use (``GEOMETRY_KINDS``):
   (dual l-infinity), prox step realized as a multiplicative update;
   radius bound ``R^2 = log n``, so it needs n >= 2.
 
-Each geometry bundles the pieces a mirror-descent step needs: the potential
-and its gradient, the induced divergence ``V(x, y)``, the dual norm used to
-measure subgradients, and the prox operator restricted to the simplex.
-Geometry values are immutable and all operations are pure functions, so
-they can be shared freely between concurrently running solves.
+Each geometry bundles what a mirror-descent step needs: the radius that
+enters the stepsize and stopping rules, the dual norm used to measure
+subgradients, and the prox step restricted to the simplex. Geometry values
+are immutable and the kernels are pure functions, so they can be shared
+freely between concurrently running solves.
 
-The public functions check their inputs (shape, finiteness, simplex
-membership where a feasible point is required). ``prox_map`` and
-``dual_norm`` then run check-free kernels, from ``PROX_LOOPS`` and
-``DUAL_NORM_KERNELS``; the solver's step calls the kernels directly, since
-the prox step keeps its iterates on the simplex. A prox kernel is a pair
-that carries a state from step to step. The entropy state is the
-log-weights z, so a step is ``z <- z - y`` and ``x = exp(z - max z) / sum``
-and takes no log and no interior clamp of its iterate. ``prox_map`` is one
-lift and one advance of the same pair, and stays the public, checked
-reference: one entropy step of a run matches it up to rounding, a
-Euclidean step bit for bit.
+The kernels, ``PROX_LOOPS`` and ``DUAL_NORM_KERNELS``, make no checks: the
+step calls them directly, since it keeps its iterates on the simplex. A
+prox kernel is a pair that carries a state from step to step. The entropy
+state is the log-weights z, so a step is ``z <- z - y`` and
+``x = exp(z - max z) / sum`` and takes no log and no interior clamp of its
+iterate. The checked references, ``prox_map`` (one lift and one advance of
+the same pair) and ``dual_norm``, with the potential and its divergence,
+are in ``asmd.checks``: one entropy step of a run matches ``prox_map`` up
+to rounding, a Euclidean step bit for bit.
 
 The Euclidean step is ``project_simplex``, the sort-and-threshold
 projection (Duchi et al., ICML 2008). At n <= 2000 its time goes to the
@@ -92,75 +90,16 @@ class Geometry:
         return math.sqrt(self.radius_squared)
 
 
-def _check_vector(geom: Geometry, v, name: str = "x") -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    if v.shape != (geom.dimension,):
-        raise ValueError(
-            f"{name} has shape {v.shape}, expected ({geom.dimension},) for this geometry"
-        )
-    if not np.isfinite(v).all():
-        raise ValueError(f"{name} has non-finite coordinates")
-    return v
-
-
 def on_simplex(x, tol: float = FEASIBILITY_TOL) -> bool:
     """Membership check: coordinates nonnegative and summing to one."""
     x = np.asarray(x, dtype=float)
     return bool(abs(float(x.sum()) - 1.0) <= tol and (x >= -tol).all())
 
 
-def require_feasible(geom: Geometry, x, name: str = "x") -> np.ndarray:
-    x = _check_vector(geom, x, name)
-    if not on_simplex(x):
-        raise ValueError(f"{name} is not on the probability simplex (tol {FEASIBILITY_TOL})")
-    return x
-
-
 def interior_clamp(x, delta: float = INTERIOR_DELTA) -> np.ndarray:
     """Mix toward the uniform point so every coordinate is at least delta."""
     x = np.asarray(x, dtype=float)
     return (1.0 - x.size * delta) * x + delta
-
-
-def dgf_value(geom: Geometry, x) -> float:
-    """Value of the distance generating potential at a feasible point.
-
-    Euclidean: ``||x||^2 / 2``. Entropy: ``sum x_i log x_i`` with the
-    convention ``0 log 0 = 0``.
-    """
-    x = require_feasible(geom, x)
-    if geom.kind == "euclidean":
-        return 0.5 * float(x @ x)
-    logs = np.zeros_like(x)
-    np.log(x, where=x > 0.0, out=logs)
-    return float((x * logs).sum())
-
-
-def dgf_gradient(geom: Geometry, x) -> np.ndarray:
-    """Gradient of the potential; entropy input is clamped off the boundary."""
-    x = _check_vector(geom, x)
-    if geom.kind == "euclidean":
-        return x.copy()
-    return 1.0 + np.log(interior_clamp(x))
-
-
-def bregman(geom: Geometry, x, y) -> float:
-    """Divergence ``V(x, y) = d(y) - d(x) - <d'(x), y - x>``.
-
-    Closed forms: Euclidean ``||y - x||^2 / 2``; entropy
-    ``sum_i y_i log(y_i / x_i)`` with the first argument clamped off the
-    boundary so the logs are finite. Nonnegative, and zero exactly when
-    the arguments coincide.
-    """
-    x = _check_vector(geom, x)
-    y = _check_vector(geom, y, "y")
-    if geom.kind == "euclidean":
-        d = y - x
-        return 0.5 * float(d @ d)
-    xc = interior_clamp(x)
-    logs = np.zeros_like(y)
-    np.log(y / xc, where=y > 0.0, out=logs)
-    return float((y * logs).sum())
 
 
 def _norm_l2(g: np.ndarray) -> float:
@@ -170,12 +109,6 @@ def _norm_l2(g: np.ndarray) -> float:
 
 def _norm_linf(g: np.ndarray) -> float:
     return float(np.abs(g).max())
-
-
-def dual_norm(geom: Geometry, g) -> float:
-    """Norm of a dual vector (a subgradient): l2 for the Euclidean setup,
-    l-infinity for entropy (whose primal norm is l1)."""
-    return DUAL_NORM_KERNELS[geom.kind](_check_vector(geom, g, "g"))
 
 
 @functools.lru_cache(maxsize=8)
@@ -225,19 +158,6 @@ def _advance_entropy(z: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarr
 def _advance_euclidean(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     x = project_simplex(x - y)
     return x, x
-
-
-def prox_map(geom: Geometry, x, y) -> np.ndarray:
-    """Mirror update ``argmin_u <y, u> + V(x, u)`` over the simplex.
-
-    Entropy uses the multiplicative closed form
-    ``u_i = x_i exp(-y_i) / sum_j x_j exp(-y_j)`` computed in max-shifted
-    log space so large inputs cannot overflow; Euclidean projects ``x - y``
-    back onto the simplex. The output satisfies the optimality condition
-    ``<y + d'(u) - d'(x), v - u> >= 0`` for every feasible v.
-    """
-    lift, advance = PROX_LOOPS[geom.kind]
-    return advance(lift(require_feasible(geom, x)), _check_vector(geom, y, "y"))[1]
 
 
 #: Check-free kernels by geometry kind. ``norm(g)`` trusts g to be a

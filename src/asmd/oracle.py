@@ -20,11 +20,11 @@ every array they hold is a read-only copy of the caller's data, so a
 column sample is a row view of the (exactly symmetric) quadratic matrix
 and a linear gradient is the coefficient vector itself, not copies.
 
-Index draws have one CDF scan, ``draw_index``, which makes no check. The
-public samplers ``sample_simplex_index`` and ``sample_simplex_indices``
-check that the point is a distribution first; the solver's step calls
-``draw_index`` directly, because its iterates are on the simplex by
-construction. For the same reason the step evaluates the constraint with
+Index draws have one CDF scan, ``draw_index``, which makes no check: the
+solver's step calls it on its own iterates, which are on the simplex by
+construction, and ``checks.unbiasedness_report``, the statistical check
+of the column oracle, checks that its point is a distribution first. For
+the same reason the step evaluates the constraint with
 ``values_unchecked`` and an exact gradient with ``gradient_unchecked``; the
 public ``values``, ``value``, ``value_and_argmax`` and ``gradient`` check
 the point's shape first.
@@ -53,8 +53,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .geometry import FEASIBILITY_TOL
 
 #: Rows per block of the symmetry check, which bounds its boolean temporary
 #: to ``SYMMETRY_BLOCK x n`` where a whole-matrix comparison allocates n x n.
@@ -111,20 +109,6 @@ def support_of(x: np.ndarray) -> np.ndarray:
     return x.astype(bool).nonzero()[0]
 
 
-def _as_distribution(x) -> np.ndarray:
-    """Clip round-off negatives to zero, without renormalizing: callers
-    scale their uniform draw by the total mass ``cdf[-1]`` instead, which
-    must be normal: a subnormal ``u * cdf[-1]`` can round up to ``cdf[-1]``."""
-    x = np.asarray(x, dtype=float)
-    if (x < -FEASIBILITY_TOL).any():
-        raise ValueError("point has negative coordinates beyond the feasibility tolerance")
-    p = np.maximum(x, 0.0)
-    total = float(p.sum())
-    if total < np.finfo(float).tiny:
-        raise ValueError("cannot sample an index: total mass after clipping is zero or subnormal")
-    return p
-
-
 def draw_index(p: np.ndarray, rng: RngStream, size: int | None = None) -> int | np.ndarray:
     """Index i drawn with probability ``p_i / sum(p)`` via one uniform and a
     CDF scan, without checks: p must be nonnegative with a normal total.
@@ -135,19 +119,6 @@ def draw_index(p: np.ndarray, rng: RngStream, size: int | None = None) -> int | 
     u = rng.uniform(size) * cdf[-1]
     idx = cdf.searchsorted(u, side="right")
     return int(idx) if size is None else idx
-
-
-def sample_simplex_index(x, rng: RngStream) -> int:
-    """Draw index i with probability x_i via one uniform and a CDF scan.
-
-    Indices carrying zero mass are never returned.
-    """
-    return draw_index(_as_distribution(x), rng)
-
-
-def sample_simplex_indices(x, rng: RngStream, size: int) -> np.ndarray:
-    """Vectorized form of ``sample_simplex_index`` reading one stream block."""
-    return draw_index(_as_distribution(x), rng, size)
 
 
 class QuadraticObjective:
@@ -373,42 +344,3 @@ class MaxLinearConstraint:
         """Value at each row of ``points``: the same product over the stack."""
         return (points @ self.term_matrix.T - self.offsets).max(axis=1)
 
-
-@dataclass(frozen=True)
-class UnbiasednessReport:
-    """Empirical mean of column samples against the exact gradient."""
-
-    empirical_mean: np.ndarray
-    reference: np.ndarray
-    max_abs_deviation: float
-    stderr: np.ndarray
-    samples: int
-
-
-def unbiasedness_report(
-    objective: QuadraticObjective, x, samples: int, rng: RngStream
-) -> UnbiasednessReport:
-    """Statistical check that column sampling averages to the gradient.
-
-    Draws ``samples`` columns at x, compares their componentwise mean with
-    ``A x`` and reports the per-component standard error of the mean, so a
-    caller can apply a central-limit bound such as deviation <= 4 stderr.
-    """
-    if samples < 100:
-        raise ValueError(f"need at least 100 samples, got {samples}")
-    x = np.asarray(x, dtype=float)
-    idx = sample_simplex_indices(x, rng, samples)
-    counts = np.bincount(idx, minlength=objective.dimension).astype(float)
-    cols = objective.matrix
-    mean = cols @ counts / samples
-    var = ((cols - mean[:, None]) ** 2) @ counts / (samples - 1)
-    stderr = np.sqrt(var / samples)
-    reference = objective.gradient(x)
-    deviation = float(np.abs(mean - reference).max())
-    return UnbiasednessReport(
-        empirical_mean=mean,
-        reference=reference,
-        max_abs_deviation=deviation,
-        stderr=stderr,
-        samples=samples,
-    )

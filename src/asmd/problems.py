@@ -126,10 +126,6 @@ class ProblemInstance:
     def geometry(self) -> Geometry:
         return Geometry(self.dimension, self.geometry_kind)
 
-    @property
-    def is_deterministic(self) -> bool:
-        return self.oracle_mode == "exact"
-
     def objective_value(self, x) -> float:
         return self.objective.value(x)
 

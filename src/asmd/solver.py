@@ -12,6 +12,8 @@ geometry's radius by the root of the accumulated squared sample norms and
 stops once ``(2 R / k) sqrt(sum M_i^2)`` falls to the accuracy target.
 ``solve_fixed`` is the classical baseline: a constant stepsize and a
 precomputed iteration budget derived from a uniform subgradient bound.
+The lemmas behind both rules, and the checked references a run is tested
+against, are in ``asmd.checks``, which the solve path never imports.
 
 Inputs are checked at the boundary: ``SolverConfig`` checks the run
 parameters, ``ProblemInstance`` its data, the fixed policy its stepsize.
@@ -22,9 +24,10 @@ computed once per solve, with the same kernel, so a non-productive step
 reads its ``M_k`` from a list. The prox step runs on ``PROX_LOOPS``: under
 entropy it carries log-weights, ``z <- z - h g`` with the iterate
 ``exp(z - max z) / sum``, and never takes the log of an iterate. One such
-step differs from ``prox_map``, the checked reference, by rounding only,
-so an entropy run's iterates drift from a chain of ``prox_map`` calls in
-their last digits; the Euclidean step is ``prox_map``'s own, bit for bit.
+step differs from ``checks.prox_map``, the checked reference, by rounding
+only, so an entropy run's iterates drift from a chain of ``prox_map``
+calls in their last digits; the Euclidean step is ``prox_map``'s own, bit
+for bit.
 Each step is yielded as an immutable ``StepState`` tuple.
 
 A productive step samples through ``ProblemInstance.objective_sample``.
@@ -39,7 +42,7 @@ on the other side of it and move N by a step. Entropy iterates are never
 sparse: their steps skip the scan and keep the dense products. The
 adaptive step takes one square root of the running sum for both its
 stepsize and its stopping test, with the same expressions as
-``step_size`` and ``stopping_criterion``, the public reference.
+``checks.step_size`` and ``checks.stopping_criterion``.
 
 The step never evaluates the objective. A traced run computes the trace's
 f-values in blocks of ``TRACE_BLOCK`` (64) iterates, one matrix product
@@ -56,19 +59,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .geometry import (
-    DUAL_NORM_KERNELS,
-    PROX_LOOPS,
-    Geometry,
-    bregman,
-    dgf_minimizer,
-    dual_norm,
-    on_simplex,
-)
+from .geometry import DUAL_NORM_KERNELS, PROX_LOOPS, dgf_minimizer
 from .oracle import RngStream, support_of
 from .problems import ProblemInstance
 
@@ -173,23 +168,6 @@ class StepState(NamedTuple):
     x_next: np.ndarray
     sum_M_sq: float
     stopped: bool
-
-
-def step_size(radius: float, sum_m_sq: float) -> float:
-    """Adaptive stepsize: radius over the root of the running sum of squared
-    sample norms. Raises when the sum is still zero (degenerate gradients);
-    callers stop instead, since the stopping rule is already satisfied
-    then."""
-    if sum_m_sq <= 0.0:
-        raise ZeroDivisionError("all sample norms so far are zero")
-    return radius / math.sqrt(sum_m_sq)
-
-
-def stopping_criterion(radius: float, k: int, sum_m_sq: float, epsilon: float) -> bool:
-    """True once ``(2 R / k) sqrt(sum M_i^2)`` is within the target."""
-    if k < 1:
-        raise ValueError("step index must be at least 1")
-    return (2.0 * radius / k) * math.sqrt(sum_m_sq) <= epsilon
 
 
 def worst_case_iterations(M: float, R: float, epsilon: float, variant: str = ADAPTIVE) -> int:
@@ -372,113 +350,3 @@ def solve_fixed(problem: ProblemInstance, config: SolverConfig) -> RunResult:
         raise ValueError(f"config.variant is {config.variant!r}; expected '{FIXED}'")
     return _drive(problem, config)
 
-
-# -- analysis checks ---------------------------------------------------------
-
-
-def stepsum_gap(alpha) -> float:
-    """Slack in ``sum_k a_k / sqrt(S_k) <= 2 sqrt(S_N)`` for nonnegative a,
-    where ``S_k`` is the running sum. This inequality is what makes the
-    adaptive stepsizes telescope. Terms whose running sum is still zero
-    contribute nothing (their numerators are necessarily zero too)."""
-    a = np.asarray(alpha, dtype=float)
-    if a.size and float(a.min()) < 0:
-        raise ValueError("sequence must be nonnegative")
-    if a.size == 0:
-        return 0.0
-    s = np.cumsum(a)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(s > 0.0, a / np.sqrt(s), 0.0)
-    return 2.0 * math.sqrt(float(s[-1])) - float(terms.sum())
-
-
-def mirror_step_residual(
-    geom: Geometry, x_k, x_next, ref, grad, h: float, f_gap: float
-) -> float:
-    """Slack in the one-step prox inequality against a reference point.
-
-    For an exact subgradient step ``x_next = prox(x_k, h grad)`` of a
-    convex function, the quantity
-
-        (V(x_k, ref) - V(x_next, ref)) / h + h ||grad||_*^2 / 2
-
-    dominates the gap ``f(x_k) - f(ref)``; the return value is that bound
-    minus the supplied gap and is nonnegative whenever the sample equals a
-    true subgradient. With noisy samples it may go negative by the noise
-    term's magnitude.
-    """
-    if not h > 0:
-        raise ValueError(f"stepsize must be positive, got {h}")
-    v_now = bregman(geom, x_k, ref)
-    v_next = bregman(geom, x_next, ref)
-    m = dual_norm(geom, np.asarray(grad, dtype=float))
-    return (v_now - v_next) / h + 0.5 * h * m * m - float(f_gap)
-
-
-@dataclass(frozen=True)
-class TelescopingReport:
-    lhs: float
-    rhs: float
-    holds: bool
-
-
-def telescoping_bound_check(
-    trace: Sequence[IterationRecord], geom: Geometry, problem: ProblemInstance, ref
-) -> TelescopingReport:
-    """Compare the summed gaps of a deterministic run with the telescoped
-    stepsize bound.
-
-    The left side sums objective gaps over productive steps and constraint
-    gaps over the rest, both against the reference point; the right side is
-    ``2 R sqrt(sum M_k^2)``. The reference must be feasible with a
-    nonpositive constraint value. Every trace row carries its f(x_k).
-    """
-    if not trace:
-        raise ValueError("trace is empty")
-    ref = np.asarray(ref, dtype=float)
-    if not on_simplex(ref):
-        raise ValueError("reference point is not on the simplex")
-    g_ref = problem.constraint_value(ref)
-    if g_ref > 0:
-        raise ValueError("reference point must satisfy the constraint")
-    f_ref = problem.objective_value(ref)
-    lhs = 0.0
-    total = 0.0
-    for rec in trace:
-        total += rec.M_k * rec.M_k
-        if rec.productive:
-            lhs += rec.f_value - f_ref
-        else:
-            lhs += rec.g_value - g_ref
-    rhs = 2.0 * geom.radius * math.sqrt(total)
-    return TelescopingReport(lhs=lhs, rhs=rhs, holds=bool(lhs <= rhs + 1e-8))
-
-
-def min_step_residual(
-    problem: ProblemInstance, config: SolverConfig, refs: Sequence[np.ndarray]
-) -> float:
-    """Smallest one-step residual over a replayed run and reference points.
-
-    Replays the run the config describes (deterministic oracles only, so
-    the replay is exact) and evaluates ``mirror_step_residual`` against
-    every reference at every step. The degenerate all-zero-gradient step,
-    if any, is skipped: its stepsize is infinite and the iterate does not
-    move.
-    """
-    if not problem.is_deterministic:
-        raise ValueError("step residuals are meaningful for deterministic oracles only")
-    geom = problem.geometry()
-    refs = [np.asarray(r, dtype=float) for r in refs]
-    f_refs = [problem.objective_value(r) for r in refs]
-    g_refs = [problem.constraint_value(r) for r in refs]
-    best = math.inf
-    for st in mirror_descent_steps(problem, config):
-        if not math.isfinite(st.h):
-            continue
-        level = problem.objective_value(st.x) if st.productive else st.g_value
-        ref_levels = f_refs if st.productive else g_refs
-        for ref, ref_level in zip(refs, ref_levels):
-            gap = level - ref_level
-            resid = mirror_step_residual(geom, st.x, st.x_next, ref, st.gradient, st.h, gap)
-            best = min(best, resid)
-    return best

@@ -11,9 +11,10 @@ import time
 import numpy as np
 import pytest
 
+from asmd.checks import min_step_residual, stepsum_gap, telescoping_bound_check, unbiasedness_report
 from asmd.cli import main as cli_main
 from asmd.fixtures import QUADRATIC_N3, fixture_path
-from asmd.oracle import RngStream, unbiasedness_report
+from asmd.oracle import RngStream
 from asmd.problems import (
     generate_instance,
     reference_optimum,
@@ -24,11 +25,8 @@ from asmd.solver import (
     CRITERION_MET,
     FIXED,
     SolverConfig,
-    min_step_residual,
     solve_adaptive,
     solve_fixed,
-    stepsum_gap,
-    telescoping_bound_check,
     worst_case_iterations,
 )
 

@@ -5,20 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from asmd.checks import bregman, dgf_gradient, dgf_value, dual_norm, prox_map
 from asmd.geometry import (
     DUAL_NORM_KERNELS,
     GEOMETRY_KINDS,
     PROX_LOOPS,
     Geometry,
-    bregman,
-    dgf_gradient,
     dgf_minimizer,
-    dgf_value,
-    dual_norm,
     interior_clamp,
     on_simplex,
     project_simplex,
-    prox_map,
 )
 from asmd.problems import generate_instance
 from asmd.solver import SolverConfig, mirror_descent_steps

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from asmd.checks import unbiasedness_report
 from asmd.oracle import (
     SYMMETRY_BLOCK,
     LinearObjective,
@@ -8,10 +9,8 @@ from asmd.oracle import (
     QuadraticObjective,
     RngStream,
     _is_symmetric,
-    sample_simplex_index,
-    sample_simplex_indices,
+    draw_index,
     support_of,
-    unbiasedness_report,
 )
 from asmd.problems import (
     InstanceValidationError,
@@ -179,7 +178,7 @@ class TestColumnSampling:
         x = np.array([1.0, 0.0])
         rng = RngStream(3)
         for _ in range(50):
-            assert sample_simplex_index(x, rng) == 0
+            assert draw_index(x, rng) == 0
             np.testing.assert_array_equal(p.objective_sample(x, rng), p.objective.matrix[:, 0])
 
     def test_sample_is_read_only_row_view(self):
@@ -212,34 +211,32 @@ class TestColumnSampling:
     def test_zero_mass_index_never_drawn(self):
         x = np.array([0.3, 0.0, 0.7])
         rng = RngStream(6)
-        idx = sample_simplex_indices(x, rng, 10_000)
+        idx = draw_index(x, rng, 10_000)
         assert set(np.unique(idx)) <= {0, 2}
 
     def test_roundoff_negatives_are_clipped(self):
+        # under the identity, the empirical mean is each index's share of draws
         x = np.array([0.5, -1e-9, 0.5])
-        rng = RngStream(7)
-        idx = sample_simplex_indices(x, rng, 5_000)
-        assert set(np.unique(idx)) <= {0, 2}
+        report = unbiasedness_report(QuadraticObjective(np.eye(3)), x, 5_000, RngStream(7))
+        assert set(np.flatnonzero(report.empirical_mean)) <= {0, 2}
 
     def test_large_negative_rejected(self):
-        with pytest.raises(ValueError):
-            sample_simplex_index(np.array([1.1, -0.1]), RngStream(8))
+        with pytest.raises(ValueError, match="negative coordinates"):
+            unbiasedness_report(QuadraticObjective(np.eye(2)), [1.1, -0.1], 100, RngStream(8))
 
     def test_all_zero_rejected(self):
-        with pytest.raises(ValueError):
-            sample_simplex_index(np.zeros(3), RngStream(9))
+        with pytest.raises(ValueError, match="zero or subnormal"):
+            unbiasedness_report(QuadraticObjective(np.eye(3)), np.zeros(3), 100, RngStream(9))
         # a subnormal total too: u * cdf[-1] can round up to it, giving index n
         subnormal = np.array([5e-324, 0.0])
-        with pytest.raises(ValueError):
-            sample_simplex_index(subnormal, RngStream(0))
-        with pytest.raises(ValueError):
-            sample_simplex_indices(subnormal, RngStream(0), 1000)
+        with pytest.raises(ValueError, match="zero or subnormal"):
+            unbiasedness_report(QuadraticObjective(np.eye(2)), subnormal, 1000, RngStream(0))
 
     def test_determinism_across_streams(self):
         x = np.array([0.2, 0.5, 0.3])
         rng_a, rng_b = RngStream(12), RngStream(12)
-        seq_a = [sample_simplex_index(x, rng_a) for _ in range(500)]
-        seq_b = [sample_simplex_index(x, rng_b) for _ in range(500)]
+        seq_a = [draw_index(x, rng_a) for _ in range(500)]
+        seq_b = [draw_index(x, rng_b) for _ in range(500)]
         assert seq_a == seq_b
 
 

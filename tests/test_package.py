@@ -1,7 +1,69 @@
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import asmd
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# what a caller of the solvers needs; the analysis checks live in asmd.checks
+PUBLIC_NAMES = {
+    "ADAPTIVE",
+    "CAP_REACHED",
+    "CRITERION_MET",
+    "FIXED",
+    "Geometry",
+    "InfeasibleRunError",
+    "InstanceFormatError",
+    "InstanceValidationError",
+    "LinearObjective",
+    "MaxLinearConstraint",
+    "ProblemInstance",
+    "QuadraticObjective",
+    "RunResult",
+    "SolverConfig",
+    "generate_instance",
+    "load_problem",
+    "problem_from_document",
+    "problem_to_document",
+    "reference_optimum",
+    "save_problem",
+    "solve_adaptive",
+    "solve_fixed",
+    "uniform_subgradient_bound",
+    "worst_case_iterations",
+}
 
 
 def test_all_names_resolve():
     missing = [name for name in asmd.__all__ if not hasattr(asmd, name)]
     assert missing == []
     assert len(set(asmd.__all__)) == len(asmd.__all__)
+
+
+def test_all_is_the_solver_surface():
+    assert set(asmd.__all__) == PUBLIC_NAMES
+
+
+def test_solve_path_does_not_load_the_checks():
+    # a fresh interpreter, since this one has imported asmd.checks already
+    src = str(Path(asmd.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys, asmd, asmd.solver, asmd.problems\n"
+        "loaded = 'asmd.checks' in sys.modules\n"
+        "import asmd.checks\n"
+        "print(loaded)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
+def test_readme_python_blocks_run(tmp_path, monkeypatch):
+    # the blocks build on each other, so they run in order as one script
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
+    assert len(blocks) >= 2
+    monkeypatch.chdir(tmp_path)
+    exec(compile("\n".join(blocks), str(README), "exec"), {"__name__": "__readme__"})

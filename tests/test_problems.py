@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from asmd import oracle
-from asmd.geometry import dual_norm
+from asmd.checks import dual_norm
 from asmd.oracle import LinearObjective, MaxLinearConstraint, QuadraticObjective
 from asmd.fixtures import QUADRATIC_N3, fixture_path, load_fixture
 from asmd.problems import (

@@ -6,9 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asmd import geometry, oracle, problems, solver
+from asmd import checks, geometry, oracle, problems, solver
+from asmd.checks import (
+    dual_norm,
+    min_step_residual,
+    mirror_step_residual,
+    prox_map,
+    step_size,
+    stepsum_gap,
+    stopping_criterion,
+    telescoping_bound_check,
+)
 from asmd.fixtures import LINEAR_N2, QUADRATIC_N3, load_fixture
-from asmd.geometry import Geometry, dgf_minimizer, dual_norm, on_simplex, prox_map
+from asmd.geometry import Geometry, dgf_minimizer, on_simplex
 from asmd.oracle import LinearObjective, MaxLinearConstraint, QuadraticObjective
 from asmd.problems import ProblemInstance, generate_instance, uniform_subgradient_bound
 from asmd.solver import (
@@ -19,15 +29,9 @@ from asmd.solver import (
     TRACE_BLOCK,
     InfeasibleRunError,
     SolverConfig,
-    min_step_residual,
     mirror_descent_steps,
-    mirror_step_residual,
     solve_adaptive,
     solve_fixed,
-    step_size,
-    stepsum_gap,
-    stopping_criterion,
-    telescoping_bound_check,
     worst_case_iterations,
 )
 
@@ -179,8 +183,10 @@ class TestStepsumGap:
         assert stepsum_gap([0.0, 0.0]) == 0.0
 
     def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            stepsum_gap([1.0, -1.0])
+        # a NaN or infinite term would give a NaN gap, which passes any threshold
+        for alpha in ([1.0, -1.0], [1.0, math.nan], [math.nan], [1.0, math.inf]):
+            with pytest.raises(ValueError):
+                stepsum_gap(alpha)
 
     def test_random_sweep(self):
         rng = np.random.default_rng(30)
@@ -234,8 +240,10 @@ class TestMirrorStepResidual:
     def test_nonpositive_step_rejected(self):
         geom = Geometry(2, "entropy")
         x = np.array([0.5, 0.5])
-        with pytest.raises(ValueError):
-            mirror_step_residual(geom, x, x, x, np.zeros(2), 0.0, 0.0)
+        # an infinite or NaN step, or a NaN gap, would give a NaN residual
+        for h, f_gap in ((0.0, 0.0), (-1.0, 0.0), (math.inf, 0.0), (math.nan, 0.0), (1.0, math.nan)):
+            with pytest.raises(ValueError):
+                mirror_step_residual(geom, x, x, x, np.zeros(2), h, f_gap)
 
 
 class TestSolveAdaptive:
@@ -438,7 +446,7 @@ class TestSolveAdaptive:
                     runs.append((solve_fixed, problem, fixed))
         assert len(runs) == 20
         calls = []
-        for module in (geometry, oracle, problems, solver):
+        for module in (checks, geometry, oracle, problems, solver):
             for name in ("_check_vector", "on_simplex", "_as_distribution"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counting(calls, getattr(module, name)))
@@ -455,7 +463,7 @@ class TestSolveAdaptive:
         radius_sq = problem.geometry().radius_squared
         calls = []
         monkeypatch.setattr(oracle, "_check_point", counting(calls, oracle._check_point))
-        monkeypatch.setattr(geometry, "_check_vector", counting(calls, geometry._check_vector))
+        monkeypatch.setattr(checks, "_check_vector", counting(calls, checks._check_vector))
         for make in (
             lambda steps: SolverConfig(epsilon=1e-3, max_iterations=steps, seed=1),
             # the fixed budget ceil(2 M^2 R^2 / eps^2) is about `steps`
