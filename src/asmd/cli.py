@@ -155,7 +155,7 @@ def cmd_solve(args, parser) -> int:
         "g_value": problem.constraint_value(result.x_bar),
         "f_value": problem.objective_value(result.x_bar),
         "x_bar_digest": vector_digest(result.x_bar),
-        "x_bar": result.x_bar.tolist(),
+        "x_bar": result.x_bar,
     }
     if not args.no_timestamp:
         doc["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()

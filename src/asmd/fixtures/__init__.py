@@ -13,9 +13,11 @@
 
 from __future__ import annotations
 
+import json
+from importlib.resources import files
 from pathlib import Path
 
-from ..problems import ProblemInstance, load_problem
+from ..problems import ProblemInstance, problem_from_document
 
 QUADRATIC_N3 = "quadratic_n3.json"
 LINEAR_N2 = "linear_n2.json"
@@ -24,6 +26,9 @@ _DIR = Path(__file__).resolve().parent
 
 
 def fixture_path(name: str) -> Path:
+    """The fixture's file on disk, for a caller that passes a path on, such
+    as a test of the CLI's ``--problem``; a package kept zipped has no such
+    file, so ``load_fixture`` does not use it."""
     path = _DIR / name
     if not path.is_file():
         raise FileNotFoundError(f"no bundled fixture named {name!r}")
@@ -31,4 +36,8 @@ def fixture_path(name: str) -> Path:
 
 
 def load_fixture(name: str) -> ProblemInstance:
-    return load_problem(fixture_path(name))
+    """The bundled instance, read as package data from any install."""
+    resource = files(__name__).joinpath(name)
+    if not resource.is_file():
+        raise FileNotFoundError(f"no bundled fixture named {name!r}")
+    return problem_from_document(json.loads(resource.read_text(encoding="utf-8")))

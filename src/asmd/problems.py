@@ -14,18 +14,20 @@ three base64 texts of little-endian arrays, ``counts`` (``<i4``, the
 entries of each row i), ``indices`` (``<i4``, the columns j, strictly
 increasing within a row) and ``values`` (``<f8``, the entries' exact
 bits). Every other number is JSON text with 17 significant digits. The
-reader rebuilds the symmetric matrix with two scatters, (i, j) and then
-(j, i); zeros of either sign come back as +0.0, which no product, sample
-or norm can tell apart. It also accepts the text forms older and
-hand-written files use: ``"upper"``, one ``{"indices": [...], "values":
-[...]}`` row per i, with the same entries; a dense ``"A"``; and
-``"triplets"`` of [i, j, value], added up. Both upper-triangle forms go
-through one check of sizes, index range and order, and finite values.
+reader scatters the entries once, in row-major order, and mirrors the
+upper triangle to the lower one with a transposed block copy per strip;
+zeros of either sign come back as +0.0, which no product, sample or norm
+can tell apart. It also accepts the text forms older and hand-written
+files use: ``"upper"``, one ``{"indices": [...], "values": [...]}`` row
+per i, with the same entries; a dense ``"A"``; and ``"triplets"`` of
+[i, j, value], added up. Both upper-triangle forms go through one check
+of sizes, index range and order, and finite values.
 
-At large n the matrix is the one big array, so generation and the writer
-work on it in strips of ``_ROW_BLOCK`` rows: the generator masks and
-symmetrizes the matrix in place, and the writer scans only the upper
-triangle, strip by strip. Neither holds a second n x n array.
+At large n the matrix is the one big array, so generation, the writer and
+the reader work on it in strips of ``_ROW_BLOCK`` rows: the generator masks
+and symmetrizes the matrix in place, the writer scans only the upper
+triangle, strip by strip, and the reader mirrors it. None holds a second
+n x n array.
 
 The reader checks the types of each parsed list at once, from the set of
 its element types: booleans, strings and nested lists are rejected where a
@@ -56,11 +58,14 @@ from .serialize import atomic_write_text, canonical_json
 
 ORACLE_MODES = ("exact", "column")
 
-#: Rows per block of the generator's mask and symmetrization and of the
-#: writer's upper-triangle scan, which bounds each temporary to
-#: ``_ROW_BLOCK x n`` beside the n x n matrix; ``oracle.SYMMETRY_BLOCK`` is
-#: the same size.
+#: Rows per block of the generator's mask and symmetrization, of the
+#: writer's upper-triangle scan and of the reader's mirror copy, which
+#: bounds each temporary to ``_ROW_BLOCK x n`` beside the n x n matrix;
+#: ``oracle.SYMMETRY_BLOCK`` is the same size.
 _ROW_BLOCK = 128
+
+#: The upper triangle, diagonal included, of a strip's leading square.
+_UPPER_SQUARE = np.triu(np.ones((_ROW_BLOCK, _ROW_BLOCK), dtype=bool))
 
 
 class InstanceFormatError(ValueError):
@@ -246,13 +251,12 @@ def _packed_upper(matrix: np.ndarray) -> dict:
     so no scan covers the lower half or holds more than a strip's indices.
     """
     n = matrix.shape[0]
-    upper_square = np.triu(np.ones((_ROW_BLOCK, _ROW_BLOCK), dtype=bool))
     counts, indices, values = [], [], []
     for i in range(0, n, _ROW_BLOCK):
         strip = matrix[i:i + _ROW_BLOCK, i:]
         nonzero = strip != 0
         square = nonzero[:, :_ROW_BLOCK]
-        square &= upper_square[:square.shape[0], :square.shape[1]]
+        square &= _UPPER_SQUARE[:square.shape[0], :square.shape[1]]
         counts.append(np.count_nonzero(nonzero, axis=1))
         indices.append(nonzero.nonzero()[1].astype("<i4") + i)
         values.append(strip[nonzero])
@@ -395,6 +399,13 @@ def _upper_matrix(counts, cols, vals, n: int, locate) -> np.ndarray:
     that match, indices in [i, n) and strictly increasing within a row,
     finite values. ``locate(key, row)`` names the field of the counts,
     indices or values (of one row) in an error.
+
+    Checked, the entries' row-major flat indices ``i n + j`` increase, so
+    one scatter writes the upper triangle front to back. Each strip of
+    ``_ROW_BLOCK`` rows i:j is then mirrored below the diagonal: the
+    columns past j by one transposed block copy, the strip's leading
+    square by a copy of its upper triangle to its lower one. Every entry
+    below the diagonal is its mirror's bits, signed zeros included.
     """
     if counts.size != n:
         raise InstanceValidationError(
@@ -430,9 +441,19 @@ def _upper_matrix(counts, cols, vals, n: int, locate) -> np.ndarray:
             raise InstanceValidationError(
                 f"field {locate(key, rows_of[k])} {rule}, got {entries[k]}"
             )
+    # the flat indices i n + j take the place of the rows, which only the
+    # checks needed, so the scatter holds no second index array
+    flat = rows_of
+    flat *= n
+    flat += cols
     matrix = np.zeros((n, n))
-    matrix[rows_of, cols] = vals
-    matrix[cols, rows_of] = vals
+    matrix.reshape(-1)[flat] = vals
+    for i in range(0, n, _ROW_BLOCK):
+        j = i + _ROW_BLOCK
+        matrix[j:, i:j] = matrix[i:j, j:].T
+        square = matrix[i:j, i:j]
+        k = square.shape[0]
+        np.copyto(square, square.T, where=~_UPPER_SQUARE[:k, :k])
     return matrix
 
 

@@ -45,9 +45,12 @@ stepsize and its stopping test, with the same expressions as
 ``checks.step_size`` and ``checks.stopping_criterion``.
 
 The step never evaluates the objective. A traced run computes the trace's
-f-values in blocks of ``TRACE_BLOCK`` (64) iterates, one matrix product
-per block, which reads the quadratic's matrix once per block rather than
-once per row. Summed in another order, a block value may differ from
+f-values in blocks of ``TRACE_BLOCK`` (64) iterates with
+``value_batch``, which reads the quadratic's matrix once per block rather
+than once per row, and only its upper block triangle: the matrix is
+exactly symmetric, so the blocks below the diagonal add nothing the
+blocks above do not, and a block of rows costs half the dense product.
+Summed in another order, a block value may differ from
 ``objective_value`` at the same point in its last digits.
 
 A single solve is strictly sequential; concurrent solves are safe because
@@ -74,8 +77,8 @@ VARIANTS = (ADAPTIVE, FIXED)
 CRITERION_MET = "criterion_met"
 CAP_REACHED = "cap_reached"
 
-#: Trace rows whose f-values one matrix product computes: a traced run holds
-#: at most this many pending iterates, whatever its length.
+#: Trace rows whose f-values one ``value_batch`` call computes: a traced run
+#: holds at most this many pending iterates, whatever its length.
 TRACE_BLOCK = 64
 
 
@@ -94,8 +97,9 @@ class SolverConfig:
     count (with the largest sample norm seen so far standing in for the
     uniform bound) is maintained on the fly. The objective value is
     evaluated only for trace rows, not by the step, in blocks of
-    ``TRACE_BLOCK`` iterates; its last digits may differ from
-    ``objective_value`` at the same point. The parameters are
+    ``TRACE_BLOCK`` iterates, each of which reads the upper block triangle
+    of a quadratic's matrix, not the whole matrix; its last digits may
+    differ from ``objective_value`` at the same point. The parameters are
     checked here, once (``epsilon`` positive and finite, ``fixed_M`` finite
     when given); the step makes no per-iteration checks.
     """
@@ -272,8 +276,8 @@ def mirror_descent_steps(problem: ProblemInstance, config: SolverConfig) -> Iter
 
 
 def _trace_block(objective, rows: list[tuple], xs: list[np.ndarray]) -> list[IterationRecord]:
-    """The pending trace rows as records, their f-values from one product
-    over the stacked iterates."""
+    """The pending trace rows as records, their f-values from one
+    ``value_batch`` call over the stacked iterates."""
     f_values = objective.value_batch(np.stack(xs))
     return [IterationRecord(*row, float(f)) for row, f in zip(rows, f_values)]
 

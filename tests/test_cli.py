@@ -530,5 +530,6 @@ class TestFixtures:
             assert problem.constraint_value(x) == -1.0
 
     def test_unknown_fixture(self):
-        with pytest.raises(FileNotFoundError):
-            fixture_path("nonexistent.json")
+        for reader in (fixture_path, load_fixture):
+            with pytest.raises(FileNotFoundError, match="no bundled fixture"):
+                reader("nonexistent.json")

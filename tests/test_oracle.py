@@ -4,6 +4,7 @@ import pytest
 from asmd.checks import unbiasedness_report
 from asmd.oracle import (
     SYMMETRY_BLOCK,
+    VALUE_BLOCK,
     LinearObjective,
     MaxLinearConstraint,
     QuadraticObjective,
@@ -139,6 +140,46 @@ class TestQuadraticObjective:
                     np.testing.assert_array_equal(product, np.dot(x[rows], q.matrix[rows]))
         assert not q.matrix.flags.writeable
         assert q.matrix.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("rows", [1, 64])
+    @pytest.mark.parametrize(
+        "n", [1, 2, VALUE_BLOCK - 1, VALUE_BLOCK, VALUE_BLOCK + 1, 2 * VALUE_BLOCK + 1]
+    )
+    def test_value_batch_matches_value(self, n, rows):
+        rng = np.random.default_rng([n, rows])
+        raw = rng.standard_normal((n, n))
+        # positive definite, so no value cancels to near zero and the
+        # tolerance can be relative alone
+        q = QuadraticObjective(raw @ raw.T / n + np.eye(n))
+        simplex = rng.dirichlet(np.ones(n), size=rows)
+        off_simplex = rng.standard_normal((rows, n))
+        for points in (simplex, off_simplex):
+            batch = q.value_batch(points)
+            assert batch.shape == (rows,)
+            np.testing.assert_allclose(batch, [q.value(x) for x in points], rtol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, VALUE_BLOCK - 1, VALUE_BLOCK])
+    def test_value_batch_is_the_dense_formula_in_one_block(self, n):
+        rng = np.random.default_rng(n)
+        raw = rng.standard_normal((n, n))
+        q = QuadraticObjective(raw + raw.T)
+        for points in (rng.dirichlet(np.ones(n), size=64), rng.standard_normal((1, n))):
+            dense = 0.5 * ((points @ q.matrix) * points).sum(axis=1)
+            assert q.value_batch(points).tobytes() == dense.tobytes()
+
+    def test_value_batch_reads_the_upper_block_triangle(self):
+        n = 2 * VALUE_BLOCK + 1
+        rng = np.random.default_rng(9)
+        raw = rng.standard_normal((n, n))
+        q = QuadraticObjective(raw + raw.T)
+        poisoned = q.matrix.copy()
+        for s in range(0, n, VALUE_BLOCK):
+            poisoned[s + VALUE_BLOCK:, s:s + VALUE_BLOCK] = np.nan
+        upper = QuadraticObjective._from_symmetric(poisoned)
+        points = rng.dirichlet(np.ones(n), size=8)
+        values = upper.value_batch(points)
+        assert np.isfinite(values).all()
+        np.testing.assert_array_equal(values, q.value_batch(points))
 
     def test_non_finite_rejected(self):
         for matrix in ([[0.0, np.inf], [np.inf, 0.0]], [[0.0, np.nan], [1.0, 0.0]]):

@@ -2,6 +2,7 @@ import os
 import re
 import subprocess
 import sys
+import zipfile
 from pathlib import Path
 
 import asmd
@@ -67,3 +68,28 @@ def test_readme_python_blocks_run(tmp_path, monkeypatch):
     assert len(blocks) >= 2
     monkeypatch.chdir(tmp_path)
     exec(compile("\n".join(blocks), str(README), "exec"), {"__name__": "__readme__"})
+
+
+def test_fixtures_load_from_a_zipped_package(tmp_path):
+    # a zipped install has no fixture files on disk, only package data
+    package = Path(asmd.__file__).resolve().parent
+    archive = tmp_path / "asmd.zip"
+    with zipfile.ZipFile(archive, "w") as zf:
+        for path in sorted(package.rglob("*")):
+            if path.is_file() and "__pycache__" not in path.parts:
+                zf.write(path, path.relative_to(package.parent).as_posix())
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(archive)!r})\n"
+        "import asmd\n"
+        "from asmd.fixtures import LINEAR_N2, QUADRATIC_N3, load_fixture\n"
+        "print(asmd.__file__)\n"
+        "print(load_fixture(QUADRATIC_N3).dimension, load_fixture(LINEAR_N2).dimension)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    origin, dimensions = out.stdout.splitlines()
+    assert origin.startswith(str(archive))
+    assert dimensions == "3 2"

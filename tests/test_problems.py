@@ -13,6 +13,7 @@ from asmd.checks import dual_norm
 from asmd.oracle import LinearObjective, MaxLinearConstraint, QuadraticObjective
 from asmd.fixtures import QUADRATIC_N3, fixture_path, load_fixture
 from asmd.problems import (
+    _ROW_BLOCK,
     InstanceFormatError,
     InstanceValidationError,
     ProblemInstance,
@@ -369,6 +370,31 @@ def test_upper_scatters_both_halves():
     np.testing.assert_array_equal(matrix, [[2.0, -0.5], [-0.5, 0.0]])
 
 
+def test_upper_mirror_is_the_two_scatter_formula():
+    # three strips, with explicit zeros of both signs, against the reference
+    # that scatters each entry to (i, j) and then to (j, i)
+    n = 2 * _ROW_BLOCK + 3
+    rng = np.random.default_rng(4)
+    doc = problem_to_document(generate_instance(n, seed=4))
+    upper, rows, cols, values = [], [], [], []
+    for i in range(n):
+        idx = np.flatnonzero(rng.random(n - i) < 0.2) + i
+        val = rng.standard_normal(idx.size)
+        val[rng.random(idx.size) < 0.2] = -0.0
+        val[rng.random(idx.size) < 0.1] = 0.0
+        upper.append({"indices": idx.tolist(), "values": val.tolist()})
+        rows += [i] * idx.size
+        cols += idx.tolist()
+        values += val.tolist()
+    expected = np.zeros((n, n))
+    expected[rows, cols] = values
+    expected[cols, rows] = values
+    assert np.signbit(expected[expected == 0]).any()
+    doc["objective"] = {"type": "quadratic", "upper": upper}
+    matrix = problem_from_document(doc).objective.matrix
+    assert matrix.tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("edits, error, key", BAD_PACKED)
 def test_packed_rejections(edits, error, key):
     doc = problem_to_document(tiny_linear_problem())
@@ -489,7 +515,7 @@ class TestCompactFiles:
             assert_instances_equal(r, expected)
 
     def test_upper_forms_skip_the_symmetry_scan(self, tmp_path, monkeypatch):
-        # the two scatters build a finite, exactly symmetric matrix, which the
+        # the scatter and mirror build a finite, exactly symmetric matrix, which the
         # objective takes as it is; a dense "A" still goes through the checks
         p = generate_instance(50, seed=3)
         packed_path, text_path = tmp_path / "packed.json", tmp_path / "text.json"
