@@ -10,14 +10,16 @@ Instance files are JSON documents written through the canonical serializer,
 so save/load round-trips are bit-exact and regeneration with the same
 arguments is byte-identical. A quadratic's matrix is stored as the nonzero
 entries A[i, j], j >= i, of its upper triangle, packed: ``"packed"`` holds
-three base64 texts of little-endian arrays, ``counts`` (``<i4``, the
-entries of each row i), ``indices`` (``<i4``, the columns j, strictly
-increasing within a row) and ``values`` (``<f8``, the entries' exact
-bits). Every other number is JSON text with 17 significant digits. The
-reader scatters the entries once, in row-major order, and mirrors the
-upper triangle to the lower one with a transposed block copy per strip;
-zeros of either sign come back as +0.0, which no product, sample or norm
-can tell apart. It also accepts the text forms older and hand-written
+three little-endian arrays, ``counts`` (``<i4``, the entries of each row
+i), ``indices`` (``<i4``, the columns j, strictly increasing within a
+row) and ``values`` (``<f8``, the entries' exact bits). A document keeps
+them as raw bytes, which the writer streams to the file as base64 text a
+chunk at a time, and a file holds that text; the reader takes either.
+Every other number is JSON text with 17 significant digits. The reader
+scatters the entries once, in row-major order, and mirrors the upper
+triangle to the lower one with a transposed block copy per strip; zeros
+of either sign come back as +0.0, which no product, sample or norm can
+tell apart. It also accepts the text forms older and hand-written
 files use: ``"upper"``, one ``{"indices": [...], "values": [...]}`` row
 per i, with the same entries; a dense ``"A"``; and ``"triplets"`` of
 [i, j, value], added up. Both upper-triangle forms go through one check
@@ -27,7 +29,7 @@ At large n the matrix is the one big array, so generation, the writer and
 the reader work on it in strips of ``_ROW_BLOCK`` rows: the generator masks
 and symmetrizes the matrix in place, the writer scans only the upper
 triangle, strip by strip, and the reader mirrors it. None holds a second
-n x n array.
+n x n array, and the writer holds no text of the whole document.
 
 The reader checks the types of each parsed list at once, from the set of
 its element types: booleans, strings and nested lists are rejected where a
@@ -54,7 +56,8 @@ from .oracle import (
     _is_index,
     draw_index,
 )
-from .serialize import atomic_write_text, canonical_json
+from . import serialize
+from .serialize import BLOB_TYPES
 
 ORACLE_MODES = ("exact", "column")
 
@@ -244,25 +247,26 @@ _PACKED_DTYPES = {"counts": "<i4", "indices": "<i4", "values": "<f8"}
 
 
 def _packed_upper(matrix: np.ndarray) -> dict:
-    """The nonzero entries A[i, j], j >= i, as the three packed blobs.
+    """The nonzero entries A[i, j], j >= i, as the three packed blobs, each
+    the raw bytes of a little-endian array.
 
     The upper triangle is scanned in strips of ``_ROW_BLOCK`` rows, rows
     i:j past column i with the strip's square cut to its upper triangle,
     so no scan covers the lower half or holds more than a strip's indices.
     """
     n = matrix.shape[0]
-    counts, indices, values = [], [], []
+    parts = {key: [] for key in _PACKED_DTYPES}
     for i in range(0, n, _ROW_BLOCK):
         strip = matrix[i:i + _ROW_BLOCK, i:]
         nonzero = strip != 0
         square = nonzero[:, :_ROW_BLOCK]
         square &= _UPPER_SQUARE[:square.shape[0], :square.shape[1]]
-        counts.append(np.count_nonzero(nonzero, axis=1))
-        indices.append(nonzero.nonzero()[1].astype("<i4") + i)
-        values.append(strip[nonzero])
-    arrays = {"counts": counts, "indices": indices, "values": values}
+        parts["counts"].append(np.count_nonzero(nonzero, axis=1))
+        parts["indices"].append(nonzero.nonzero()[1].astype("<i4") + i)
+        parts["values"].append(strip[nonzero])
+    # each blob's strips are dropped once joined, so no join holds two blobs' strips
     return {
-        key: base64.b64encode(np.concatenate(arrays[key]).astype(dtype, copy=False)).decode("ascii")
+        key: memoryview(np.concatenate(parts.pop(key)).astype(dtype, copy=False).view(np.uint8))
         for key, dtype in _PACKED_DTYPES.items()
     }
 
@@ -270,9 +274,10 @@ def _packed_upper(matrix: np.ndarray) -> dict:
 def problem_to_document(p: ProblemInstance) -> dict:
     """The instance as a file document.
 
-    A quadratic's matrix is packed to base64 text. The other numeric fields
-    are arrays (the instance's own, or slices of them), not lists, so that
-    ``canonical_json`` writes them through its array paths.
+    A quadratic's matrix is packed to raw bytes, which ``canonical_json``
+    writes as base64 text. The other numeric fields are arrays (the
+    instance's own, or slices of them), not lists, so that it writes them
+    through its array paths.
     """
     if isinstance(p.objective, QuadraticObjective):
         objective = {"type": "quadratic", "packed": _packed_upper(p.objective.matrix)}
@@ -336,17 +341,20 @@ def _real(value, where: str) -> float:
 
 
 def _packed_arrays(packed) -> list[np.ndarray]:
-    """The counts, indices and values arrays of a ``packed`` object."""
+    """The counts, indices and values arrays of a ``packed`` object, whose
+    blobs are base64 text (a file) or raw bytes (a document in memory)."""
     arrays = []
     for key, dtype in _PACKED_DTYPES.items():
         where = f"objective.packed.{key}"
         blob = _field(packed, key, "objective.packed")
-        if not isinstance(blob, str):
+        if not isinstance(blob, (str, *BLOB_TYPES)):
             raise InstanceFormatError(
-                f"field '{where}' must be base64 text, got {type(blob).__name__}"
+                f"field '{where}' must be base64 text or bytes, got {type(blob).__name__}"
             )
         try:
-            arrays.append(np.frombuffer(base64.b64decode(blob, validate=True), dtype=dtype))
+            if isinstance(blob, str):
+                blob = base64.b64decode(blob, validate=True)
+            arrays.append(np.frombuffer(blob, dtype=dtype))
         except ValueError as exc:  # binascii.Error is one
             raise InstanceFormatError(
                 f"field '{where}' must be a base64 {dtype} array: {exc}"
@@ -561,7 +569,13 @@ def problem_from_document(doc) -> ProblemInstance:
 
 
 def save_problem(p: ProblemInstance, path) -> None:
-    atomic_write_text(path, canonical_json(problem_to_document(p)))
+    """Stream the instance's document to ``path``, piece by piece.
+
+    The writer is looked up on ``serialize``, not imported by name: the
+    benchmark's tracer wraps ``problems.atomic_write_text`` and sizes its
+    argument as one text, which a stream of pieces is not.
+    """
+    serialize.atomic_write_text(path, serialize.canonical_pieces(problem_to_document(p)))
 
 
 def load_problem(path) -> ProblemInstance:
@@ -650,11 +664,18 @@ def uniform_subgradient_bound(p: ProblemInstance) -> float:
     modes; constraint subgradients are among the dense directions. The
     matrix is exactly symmetric, so its contiguous rows stand in for the
     columns; the oracles checked every vector at construction, so the
-    norms run check-free.
+    norms run check-free. Under entropy the matrix's part, the largest
+    row's infinity norm, is its largest entry in absolute value.
     """
     norm = DUAL_NORM_KERNELS[p.geometry_kind]
     if isinstance(p.objective, QuadraticObjective):
-        obj = max(norm(row) for row in p.objective.matrix)
+        matrix = p.objective.matrix
+        if p.geometry_kind == "entropy":
+            # the largest |A_ij| by two reductions, with no |A| temporary;
+            # adding 0.0 turns a -0.0 into the +0.0 the row kernel returns
+            obj = float(max(matrix.max(), -matrix.min())) + 0.0
+        else:
+            obj = max(norm(row) for row in matrix)
     else:
         obj = norm(p.objective.coefficients)
     con = max(norm(row) for row in p.constraint.directions)

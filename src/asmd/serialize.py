@@ -4,8 +4,9 @@ All numeric output (instance files, result files, trace CSVs) follows one
 rule, ``format_real``: 17 significant digits, so reruns with identical
 inputs produce byte-identical files and every value round-trips to the
 exact same double. The one exception is a quadratic's matrix in an
-instance file, which is stored as the exact bits of its entries, packed to
-base64 text (``problems.problem_to_document``).
+instance file, which is stored as the exact bits of its entries: a
+bytes-like value (``BLOB_TYPES``) is written as the base64 text of its
+bytes, as a JSON string (``problems.problem_to_document``).
 
 ``canonical_json`` takes lists and numpy arrays alike and writes the same
 bytes for both. A 1-D float array takes an array path: one ``isfinite``
@@ -16,10 +17,18 @@ A 1-D integer array is written from its ``tolist()`` in one join. That is
 what makes the sparse constraint rows of instance files cheap to write.
 Higher-rank arrays are rendered row by row, one row per line, and are
 never flattened into one list of strings.
+
+One renderer, ``canonical_pieces``, yields the text as pieces of UTF-8
+bytes: the structure between values, one piece per inline value or row,
+and a blob as the base64 of slices of ``_BLOB_CHUNK`` bytes, a multiple
+of 3, so the slices' texts join to the blob's. ``canonical_json`` is the
+join of the pieces, and ``atomic_write_text`` writes them to the file in
+turn, so a written document is never held as one text.
 """
 
 from __future__ import annotations
 
+import binascii
 import hashlib
 import json
 import math
@@ -52,8 +61,7 @@ def _render_reals(row: np.ndarray) -> str:
     return ("[" + ", ".join(specs) + "]") % tuple(row.tolist())
 
 
-def _render(obj, indent: int) -> str:
-    pad = "  " * indent
+def _scalar(obj) -> str:
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, (bool, np.bool_)):
@@ -62,35 +70,77 @@ def _render(obj, indent: int) -> str:
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
         return format_real(float(obj))
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        inner = ",\n".join(
-            f"{pad}  {json.dumps(str(k))}: {_render(v, indent + 1)}" for k, v in obj.items()
-        )
-        return "{\n" + inner + "\n" + pad + "}"
+    raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
+
+
+#: Values written as base64 text; ``memoryview(obj).cast("B")`` is their bytes.
+BLOB_TYPES = (bytes, bytearray, memoryview)
+
+#: Values written one per line inside a list, not inline.
+_NESTED_TYPES = (dict, list, tuple, np.ndarray) + BLOB_TYPES
+
+#: Raw bytes per base64 chunk of a blob: a multiple of 3, so that each
+#: chunk's text ends without padding and the chunks join to the whole
+#: blob's text.
+_BLOB_CHUNK = 3 << 16
+
+
+def _pieces(obj, indent: int):
+    """The canonical text of ``obj`` at nesting depth ``indent``, as pieces
+    of UTF-8 bytes."""
+    if isinstance(obj, BLOB_TYPES):
+        data = memoryview(obj).cast("B")
+        yield b'"'
+        for start in range(0, data.nbytes, _BLOB_CHUNK):
+            yield binascii.b2a_base64(data[start:start + _BLOB_CHUNK], newline=False)
+        yield b'"'
+        return
     if isinstance(obj, np.ndarray):
         if obj.ndim == 1 and obj.dtype.kind == "f":
-            return _render_reals(obj)
+            yield _render_reals(obj).encode()
+            return
         if obj.ndim == 1 and obj.dtype.kind in "iu":
-            return "[" + ", ".join(map(str, obj.tolist())) + "]"
+            yield ("[" + ", ".join(map(str, obj.tolist())) + "]").encode()
+            return
         # higher ranks go row by row, so float rows still take the array path
         obj = list(obj) if obj.ndim > 1 else obj.tolist()
-    if isinstance(obj, (list, tuple)):
-        items = list(obj)
-        if not items:
-            return "[]"
+    pad = "  " * indent
+    if isinstance(obj, dict):
+        if not obj:
+            yield b"{}"
+            return
+        opening = "{\n"
+        for key, value in obj.items():
+            yield f"{opening}{pad}  {json.dumps(str(key))}: ".encode()
+            yield from _pieces(value, indent + 1)
+            opening = ",\n"
+        yield f"\n{pad}}}".encode()
+    elif isinstance(obj, (list, tuple)):
         # nested structures go one per line, flat numeric rows stay inline
-        if any(isinstance(v, (dict, list, tuple, np.ndarray)) for v in items):
-            inner = ",\n".join(f"{pad}  {_render(v, indent + 1)}" for v in items)
-            return "[\n" + inner + "\n" + pad + "]"
-        return "[" + ", ".join(_render(v, indent) for v in items) + "]"
-    raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
+        if any(isinstance(v, _NESTED_TYPES) for v in obj):
+            opening = "[\n"
+            for value in obj:
+                yield f"{opening}{pad}  ".encode()
+                yield from _pieces(value, indent + 1)
+                opening = ",\n"
+            yield f"\n{pad}]".encode()
+        else:
+            yield ("[" + ", ".join(map(_scalar, obj)) + "]").encode()
+    else:
+        yield _scalar(obj).encode()
+
+
+def canonical_pieces(doc):
+    """The text of ``canonical_json(doc)`` as pieces of UTF-8 bytes, made as
+    they are consumed: ``atomic_write_text`` writes them in turn, so no
+    copy of the whole text is ever held."""
+    yield from _pieces(doc, 0)
+    yield b"\n"
 
 
 def canonical_json(doc) -> str:
     """JSON text with stable key order, indentation and float formatting."""
-    return _render(doc, 0) + "\n"
+    return b"".join(canonical_pieces(doc)).decode("utf-8")
 
 
 def vector_digest(vec) -> str:
@@ -99,14 +149,18 @@ def vector_digest(vec) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:8]
 
 
-def atomic_write_text(path, text: str) -> None:
-    """Write via a temp file and rename, so failures leave no partial file."""
+def atomic_write_text(path, text) -> None:
+    """Write ``text``, a str or an iterable of UTF-8 byte pieces such as
+    ``canonical_pieces``, via a temp file and rename, so failures leave no
+    partial file: a piece that raises mid-stream leaves the old file as it
+    was."""
+    pieces = (text.encode("utf-8"),) if isinstance(text, str) else text
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.writelines(pieces)
         umask = os.umask(0)
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)

@@ -10,8 +10,9 @@ import pytest
 
 from asmd import oracle
 from asmd.checks import dual_norm
+from asmd.geometry import DUAL_NORM_KERNELS
 from asmd.oracle import LinearObjective, MaxLinearConstraint, QuadraticObjective
-from asmd.fixtures import QUADRATIC_N3, fixture_path, load_fixture
+from asmd.fixtures import LINEAR_N2, QUADRATIC_N3, fixture_path, load_fixture
 from asmd.problems import (
     _ROW_BLOCK,
     InstanceFormatError,
@@ -28,7 +29,7 @@ from asmd.problems import (
 from asmd.serialize import canonical_json
 from asmd.solver import SolverConfig, solve_adaptive
 
-from conftest import BAD_PACKED, assert_instances_equal, pack, packed_objective, upper_text_json
+from conftest import BAD_PACKED, assert_instances_equal, packed_objective, upper_text_json
 
 
 def tiny_linear_problem(geometry="entropy"):
@@ -63,10 +64,10 @@ def whole_matrix_generation(n, m_count=10, density=0.1, margin=0.05, seed=0):
     return matrix, terms, offsets, witness, achieved
 
 
-# sha256 of canonical_json(problem_to_document(p)) for the benchmark's
-# instance pools, taken from the whole-matrix generator; the n = 2000 column
-# instance is also the bytes ``asmd gen --n 2000 --m 10 --density 0.1
-# --seed 7 --oracle column`` writes
+# sha256 of canonical_json(problem_to_document(p)), and of the file
+# save_problem streams, for the benchmark's instance pools, taken from the
+# whole-matrix generator; the n = 2000 column instance is also the bytes
+# ``asmd gen --n 2000 --m 10 --density 0.1 --seed 7 --oracle column`` writes
 POOL_DIGESTS = [
     pytest.param(dict(n=50, m_count=10, density=0.1, seed=7),
                  "29f0a85a89335c837edc9c78df988478c3980e56d4d40c7eee3ac0279e2675c7", id="n50-7"),
@@ -112,6 +113,12 @@ class TestGeneration:
     def test_pool_documents_keep_their_digests(self, arguments, digest):
         text = canonical_json(problem_to_document(generate_instance(**arguments)))
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+    @pytest.mark.parametrize("arguments, digest", POOL_DIGESTS)
+    def test_pool_files_keep_their_digests(self, arguments, digest, tmp_path):
+        path = tmp_path / "instance.json"
+        save_problem(generate_instance(**arguments), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_adopts_the_matrix_without_the_symmetry_scan(self, monkeypatch):
         scans = []
@@ -274,10 +281,10 @@ class TestFileRoundTrip:
     def test_document_with_arrays_loads(self):
         p = generate_instance(7, m_count=3, density=0.5, seed=4)
         doc = problem_to_document(p)
-        # the matrix is packed to base64 text; the constraint rows stay arrays
+        # the matrix is packed to raw bytes; the constraint rows stay arrays
         packed = doc["objective"]["packed"]
         assert set(packed) == {"counts", "indices", "values"}
-        assert all(isinstance(blob, str) for blob in packed.values())
+        assert all(isinstance(blob, memoryview) for blob in packed.values())
         assert isinstance(doc["constraints"]["sparse"][0]["indices"], np.ndarray)
         assert_instances_equal(problem_from_document(doc), p)
 
@@ -457,6 +464,23 @@ def _solve_bytes(p):
     return result.N, result.N_I, result.x_bar.tobytes(), trace.tobytes()
 
 
+def linear_instance():
+    p = generate_instance(40, m_count=3, seed=11)
+    coefficients = np.random.default_rng(11).standard_normal(40)
+    return dataclasses.replace(p, objective=LinearObjective(coefficients))
+
+
+STREAMED_INSTANCES = [
+    pytest.param(lambda: load_fixture(QUADRATIC_N3), id="quadratic-fixture"),
+    pytest.param(lambda: load_fixture(LINEAR_N2), id="linear-fixture"),
+    pytest.param(linear_instance, id="linear-n40"),
+] + [
+    pytest.param(lambda n=n, g=g: generate_instance(n, m_count=4, density=0.3, seed=n, geometry=g),
+                 id=f"n{n}-{g}")
+    for n in (2, 3, 127, 128, 129, 300) for g in ("entropy", "euclidean")
+]
+
+
 class TestCompactFiles:
     """The ``packed`` form loses nothing a solve can see, and stays compact."""
 
@@ -475,6 +499,17 @@ class TestCompactFiles:
         assert second.read_bytes() == first.read_bytes()
         assert _solve_bytes(q) == _solve_bytes(p)
 
+    @pytest.mark.parametrize("make", STREAMED_INSTANCES)
+    def test_streamed_file_is_the_document_text(self, make, tmp_path):
+        # the file save_problem streams is the text of the document in memory,
+        # whose raw blobs load without the text as well
+        p = make()
+        path = tmp_path / "instance.json"
+        save_problem(p, path)
+        doc = problem_to_document(p)
+        assert path.read_bytes() == canonical_json(doc).encode("utf-8")
+        assert_instances_equal(problem_from_document(doc), p)
+
     def test_file_holds_the_upper_triangle_only(self, tmp_path):
         p = generate_instance(300, seed=5)
         path = tmp_path / "instance.json"
@@ -492,11 +527,12 @@ class TestCompactFiles:
         p = generate_instance(n, seed=seed)
         upper = json.loads(upper_text_json(p))["objective"]["upper"]
         expected = {
-            "counts": pack([len(row["indices"]) for row in upper], "<i4"),
-            "indices": pack([j for row in upper for j in row["indices"]], "<i4"),
-            "values": pack([v for row in upper for v in row["values"]], "<f8"),
+            "counts": np.array([len(row["indices"]) for row in upper], "<i4").tobytes(),
+            "indices": np.array([j for row in upper for j in row["indices"]], "<i4").tobytes(),
+            "values": np.array([v for row in upper for v in row["values"]], "<f8").tobytes(),
         }
-        assert problem_to_document(p)["objective"]["packed"] == expected
+        packed = problem_to_document(p)["objective"]["packed"]
+        assert {key: bytes(blob) for key, blob in packed.items()} == expected
 
     def test_text_forms_load_to_the_packed_bits(self, tmp_path):
         # the bundled quadratic as the text form wrote it, then a generated one
@@ -585,9 +621,11 @@ class TestPeakMemory:
     """Peaks at n = 2000 as multiples of the 8 n^2 bytes of the matrix.
 
     Generation builds the matrix in place and peaks at about 1.15 times it
-    (the whole-matrix formula took 3.15). Writing peaks at 0.77 times it
-    over the live instance, in the text of the document, and loading at
-    1.47, its result included; those two bounds allow 10% more.
+    (the whole-matrix formula took 3.15). Writing peaks at 0.24 times it
+    over the live instance, in the packed arrays, since the document's text
+    is streamed to the file a chunk at a time (it held the whole text at
+    0.77). Loading peaks at 1.47, its result included. The write and load
+    bounds allow 10% more.
     """
 
     N = 2000
@@ -601,7 +639,7 @@ class TestPeakMemory:
         instance = generate_instance(self.N, seed=7, oracle="column")
         path = tmp_path / "instance.json"
         _, peak = traced_peak(lambda: save_problem(instance, path))
-        assert peak <= 1.1 * 0.77 * self.MATRIX_BYTES
+        assert peak <= 1.1 * 0.24 * self.MATRIX_BYTES
         loaded, peak = traced_peak(lambda: load_problem(path))
         assert peak <= 1.1 * 1.47 * self.MATRIX_BYTES
         assert loaded.objective.matrix.nbytes == self.MATRIX_BYTES
@@ -667,6 +705,32 @@ class TestReferenceOptimum:
         assert p.constraint_value(ref.x_star) <= 0.0
 
 
+def zero_quadratic(sign):
+    """An all-zero quadratic, of either sign, under a constraint whose one
+    direction is zero, so that the bound is the objective's part alone."""
+    return ProblemInstance(
+        name="zero",
+        dimension=4,
+        objective=QuadraticObjective(np.full((4, 4), sign)),
+        constraint=MaxLinearConstraint([([], [])], [0.0], 4),
+        geometry_kind="entropy",
+        oracle_mode="exact",
+        feasible_witness=np.full(4, 0.25),
+        margin=0.0,
+    )
+
+
+UNIFORM_BOUND_INSTANCES = [
+    pytest.param(lambda: load_fixture(QUADRATIC_N3), id="quadratic-fixture"),
+    pytest.param(lambda: load_fixture(LINEAR_N2), id="linear-fixture"),
+    pytest.param(lambda: zero_quadratic(0.0), id="zero"),
+    pytest.param(lambda: zero_quadratic(-0.0), id="minus-zero"),
+] + [
+    pytest.param(lambda arguments=param.values[0]: generate_instance(**arguments), id=param.id)
+    for param in POOL_DIGESTS
+]
+
+
 class TestUniformBound:
     def test_bound_dominates_observed_norms(self, quad_problem):
         from asmd.solver import SolverConfig, solve_adaptive
@@ -678,6 +742,25 @@ class TestUniformBound:
     def test_linear_bound(self):
         p = tiny_linear_problem()
         assert uniform_subgradient_bound(p) == 1.0
+
+    @pytest.mark.parametrize("make", UNIFORM_BOUND_INSTANCES)
+    @pytest.mark.parametrize("kind", ["entropy", "euclidean"])
+    def test_matches_the_per_row_loop(self, kind, make):
+        # the same float, sign of zero included, as the kernel over every row
+        p = dataclasses.replace(make(), geometry_kind=kind)
+        norm = DUAL_NORM_KERNELS[kind]
+        if isinstance(p.objective, QuadraticObjective):
+            obj = max(norm(row) for row in p.objective.matrix)
+        else:
+            obj = norm(p.objective.coefficients)
+        expected = max(obj, max(norm(row) for row in p.constraint.directions))
+        assert repr(uniform_subgradient_bound(p)) == repr(expected)
+
+    @pytest.mark.parametrize("kind", ["entropy", "euclidean"])
+    def test_allocates_no_matrix_temporary(self, kind):
+        p = generate_instance(2000, seed=7, oracle="column", geometry=kind)
+        _, peak = traced_peak(lambda: uniform_subgradient_bound(p))
+        assert peak < 0.01 * 8 * 2000 * 2000
 
     @pytest.mark.parametrize("kind", ["entropy", "euclidean"])
     def test_rows_give_the_columnwise_bound_bit_for_bit(self, kind, quad_problem, linear_problem):

@@ -1,3 +1,4 @@
+import base64
 import math
 
 import numpy as np
@@ -5,7 +6,14 @@ import pytest
 
 from asmd.fixtures import LINEAR_N2, QUADRATIC_N3, fixture_path, load_fixture
 from asmd.problems import generate_instance, problem_to_document, save_problem
-from asmd.serialize import canonical_json, format_real, vector_digest
+from asmd.serialize import (
+    _BLOB_CHUNK,
+    atomic_write_text,
+    canonical_json,
+    canonical_pieces,
+    format_real,
+    vector_digest,
+)
 
 EDGE_VALUES = [0.0, -0.0, 1.0, 2.0**53, 1e16, 1e17 - 16, 1e17, 5e-324, 1e-5, 1e300, 0.1]
 EDGE_VALUES += [-v for v in EDGE_VALUES[2:]]
@@ -113,3 +121,53 @@ def test_vector_digest_array_matches_list():
     x[2] = 0.0
     assert vector_digest(x) == vector_digest(x.tolist())
     assert vector_digest(x) != vector_digest(x[::-1])
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, 3, _BLOB_CHUNK - 1, _BLOB_CHUNK, 2 * _BLOB_CHUNK + 2])
+def test_blob_is_its_base64_text(size):
+    raw = np.random.default_rng(size).integers(0, 256, size, dtype=np.uint8).tobytes()
+    expected = '"' + base64.b64encode(raw).decode("ascii") + '"'
+    for blob in (raw, bytearray(raw), memoryview(raw)):
+        assert canonical_json(blob) == expected + "\n"
+        assert canonical_json({"blob": blob}) == '{\n  "blob": ' + expected + "\n}\n"
+    # chunks of whole 3-byte groups: no padding before the last, none longer than a chunk
+    chunks = list(canonical_pieces(raw))[1:-2]
+    assert len(chunks) == -(-size // _BLOB_CHUNK)
+    assert all(len(c) == 4 * _BLOB_CHUNK // 3 for c in chunks[:-1])
+    assert b"=" not in b"".join(chunks[:-1])
+
+
+def test_blob_of_an_array_is_its_raw_bytes():
+    values = np.array([1.5, -0.0, 5e-324, np.pi])
+    text = base64.b64encode(values.tobytes()).decode("ascii")
+    assert canonical_json(memoryview(values)) == f'"{text}"\n'
+    assert canonical_json([memoryview(values), [1.0]]) == f'[\n  "{text}",\n  [1.0]\n]\n'
+
+
+def test_written_pieces_are_the_canonical_text(tmp_path):
+    doc = {"blob": bytes(range(256)) * 1000, "rows": np.eye(3), "name": "é", "empty": {}}
+    path = tmp_path / "doc.json"
+    atomic_write_text(path, canonical_pieces(doc))
+    assert path.read_bytes() == canonical_json(doc).encode("utf-8")
+    atomic_write_text(path, "text é\n")
+    assert path.read_bytes() == "text é\n".encode("utf-8")
+
+
+def test_failed_stream_keeps_the_old_file(tmp_path):
+    # the last field raises after a megabyte of blob went to the temp file
+    path = tmp_path / "doc.json"
+    path.write_bytes(b"old bytes\n")
+    doc = {"blob": bytes(range(256)) * 4096, "last": math.nan}
+    consumed = []
+
+    def pieces():
+        for piece in canonical_pieces(doc):
+            consumed.append(len(piece))
+            yield piece
+
+    with pytest.raises(ValueError, match="cannot serialize non-finite value nan"):
+        atomic_write_text(path, pieces())
+    assert sum(consumed) > len(doc["blob"])
+    assert path.read_bytes() == b"old bytes\n"
+    assert list(tmp_path.glob(".tmp-*.part")) == []
+    assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
