@@ -160,7 +160,7 @@ class QuadraticObjective:
         For a caller that built a finite, exactly symmetric square float
         array and checked it already, and that writes to it no more: it is
         made read-only here. The two callers are the instance reader, for
-        the upper-triangle forms (``problems._quadratic_objective``), and
+        the ``packed`` upper triangle (``problems._quadratic_objective``), and
         the generator, whose in-place symmetric part is symmetric by
         construction (``problems.generate_instance``).
         """

@@ -19,11 +19,9 @@ Every other number is JSON text with 17 significant digits. The reader
 scatters the entries once, in row-major order, and mirrors the upper
 triangle to the lower one with a transposed block copy per strip; zeros
 of either sign come back as +0.0, which no product, sample or norm can
-tell apart. It also accepts the text forms older and hand-written
-files use: ``"upper"``, one ``{"indices": [...], "values": [...]}`` row
-per i, with the same entries; a dense ``"A"``; and ``"triplets"`` of
-[i, j, value], added up. Both upper-triangle forms go through one check
-of sizes, index range and order, and finite values.
+tell apart. It checks sizes, index range and order, and finite values.
+The one other form it accepts is a dense ``"A"``, the form to write by
+hand, which goes through the objective's checked constructor.
 
 At large n the matrix is the one big array, so generation, the writer and
 the reader work on it in strips of ``_ROW_BLOCK`` rows: the generator masks
@@ -362,51 +360,14 @@ def _packed_arrays(packed) -> list[np.ndarray]:
     return arrays
 
 
-def _text_arrays(rows) -> list[np.ndarray]:
-    """The counts, indices and values arrays of an ``upper`` list of rows.
-
-    Rows are checked one by one for their shape, and the entries' types all
-    at once; an error names the first offending row.
-    """
-    if not isinstance(rows, (list, tuple)):
-        raise InstanceFormatError(
-            f"field 'objective.upper' must be a list of rows, got {type(rows).__name__}"
-        )
-    indices, values = [], []
-    for i, row in enumerate(rows):
-        where = f"objective.upper[{i}]"
-        idx, val = _field(row, "indices", where), _field(row, "values", where)
-        try:
-            sizes = len(idx), len(val)
-        except TypeError:
-            raise InstanceFormatError(f"field '{where}' indices and values must be lists") from None
-        if sizes[0] != sizes[1]:
-            raise InstanceValidationError(
-                f"field '{where}' has {sizes[0]} indices but {sizes[1]} values"
-            )
-        indices.append(idx)
-        values.append(val)
-
-    def flat(parts, key, dtype):
-        try:
-            return _typed_array(list(chain.from_iterable(parts)), "objective.upper", dtype)
-        except InstanceFormatError:
-            for i, part in enumerate(parts):
-                _typed_array(part, f"objective.upper[{i}].{key}", dtype)
-            raise
-
-    counts = np.array([len(idx) for idx in indices], dtype=np.int64)
-    return [counts, flat(indices, "indices", np.int64), flat(values, "values", float)]
-
-
-def _upper_matrix(counts, cols, vals, n: int, locate) -> np.ndarray:
+def _upper_matrix(counts, cols, vals, n: int) -> np.ndarray:
     """The symmetric matrix whose upper triangle holds ``vals`` at columns
-    ``cols``, row i taking the next ``counts[i]`` of them.
+    ``cols``, row i taking the next ``counts[i]`` of them: the ``packed``
+    blobs' arrays.
 
-    Both file forms are checked here, all entries at once: n rows, sizes
-    that match, indices in [i, n) and strictly increasing within a row,
-    finite values. ``locate(key, row)`` names the field of the counts,
-    indices or values (of one row) in an error.
+    They are checked here, all entries at once: n rows, sizes that match,
+    indices in [i, n) and strictly increasing within a row, finite values.
+    An error names the blob, and the row of an offending entry.
 
     Checked, the entries' row-major flat indices ``i n + j`` increase, so
     one scatter writes the upper triangle front to back. Each strip of
@@ -417,22 +378,23 @@ def _upper_matrix(counts, cols, vals, n: int, locate) -> np.ndarray:
     """
     if counts.size != n:
         raise InstanceValidationError(
-            f"field {locate('counts')} must hold n = {n} rows, got {counts.size}"
+            f"field 'objective.packed.counts' must hold n = {n} rows, got {counts.size}"
         )
     negative = counts < 0
     if negative.any():
         i = int(np.argmax(negative))
         raise InstanceValidationError(
-            f"field {locate('counts')} must be nonnegative, got {counts[i]} for row {i}"
+            f"field 'objective.packed.counts' must be nonnegative, got {counts[i]} for row {i}"
         )
     total = int(counts.sum())
     if cols.size != total:
         raise InstanceValidationError(
-            f"field {locate('indices')} holds {cols.size} indices, but the counts add to {total}"
+            f"field 'objective.packed.indices' holds {cols.size} indices, "
+            f"but the counts add to {total}"
         )
     if vals.size != cols.size:
         raise InstanceValidationError(
-            f"field {locate('values')} holds {vals.size} values for {cols.size} indices"
+            f"field 'objective.packed.values' holds {vals.size} values for {cols.size} indices"
         )
     rows_of = np.repeat(np.arange(n), counts)
     unordered = np.zeros(cols.size, dtype=bool)
@@ -447,7 +409,7 @@ def _upper_matrix(counts, cols, vals, n: int, locate) -> np.ndarray:
         if bad.any():
             k = int(np.argmax(bad))
             raise InstanceValidationError(
-                f"field {locate(key, rows_of[k])} {rule}, got {entries[k]}"
+                f"field 'objective.packed.{key}' (row {rows_of[k]}) {rule}, got {entries[k]}"
             )
     # the flat indices i n + j take the place of the rows, which only the
     # checks needed, so the scatter holds no second index array
@@ -465,53 +427,21 @@ def _upper_matrix(counts, cols, vals, n: int, locate) -> np.ndarray:
     return matrix
 
 
-def _locate_packed(key: str, row=None) -> str:
-    return f"'objective.packed.{key}'" + ("" if row is None else f" (row {row})")
-
-
-def _locate_upper(key: str, row=None) -> str:
-    return "'objective.upper'" if row is None else f"'objective.upper[{row}]'"
-
-
 def _quadratic_objective(objective_doc: dict, n: int) -> QuadraticObjective:
-    """The objective of a quadratic's document. The two upper-triangle
-    forms build a finite, exactly symmetric matrix, which the objective
-    takes as it is; a dense ``A`` and ``triplets`` go through its checked
-    constructor."""
+    """The objective of a quadratic's document. The ``packed`` upper
+    triangle builds a finite, exactly symmetric matrix, which the objective
+    takes as it is; a dense ``A`` goes through its checked constructor."""
     if "packed" in objective_doc:
         arrays = _packed_arrays(objective_doc["packed"])
-        return QuadraticObjective._from_symmetric(_upper_matrix(*arrays, n, _locate_packed))
-    if "upper" in objective_doc:
-        arrays = _text_arrays(objective_doc["upper"])
-        return QuadraticObjective._from_symmetric(_upper_matrix(*arrays, n, _locate_upper))
-    return QuadraticObjective(_dense_matrix(objective_doc, n))
-
-
-def _dense_matrix(objective_doc: dict, n: int) -> np.ndarray:
-    if "A" in objective_doc:
-        matrix = _typed_array(objective_doc["A"], "objective.A", nested=True)
-        if matrix.shape != (n, n):
-            raise InstanceValidationError(
-                f"field 'objective.A' has shape {matrix.shape}, expected ({n}, {n})"
-            )
-        return matrix
-    if "triplets" in objective_doc:
-        matrix = np.zeros((n, n))
-        for pos, triplet in enumerate(objective_doc["triplets"]):
-            where = f"objective.triplets[{pos}]"
-            try:
-                i, j, v = triplet
-            except (TypeError, ValueError):
-                raise InstanceFormatError(f"field '{where}' must be [i, j, value]") from None
-            if not (_is_index(i) and _is_index(j)):
-                raise InstanceFormatError(
-                    f"field '{where}' indices must be integers, got {i!r}, {j!r}"
-                )
-            if not (0 <= i < n and 0 <= j < n):
-                raise InstanceValidationError(f"field '{where}' index out of range for n={n}")
-            matrix[i, j] += _real(v, where)
-        return matrix
-    raise InstanceFormatError("field 'objective' needs 'packed', 'upper', 'A' or 'triplets'")
+        return QuadraticObjective._from_symmetric(_upper_matrix(*arrays, n))
+    if "A" not in objective_doc:
+        raise InstanceFormatError("field 'objective' needs 'packed' or 'A'")
+    matrix = _typed_array(objective_doc["A"], "objective.A", nested=True)
+    if matrix.shape != (n, n):
+        raise InstanceValidationError(
+            f"field 'objective.A' has shape {matrix.shape}, expected ({n}, {n})"
+        )
+    return QuadraticObjective(matrix)
 
 
 def problem_from_document(doc) -> ProblemInstance:
@@ -535,6 +465,10 @@ def problem_from_document(doc) -> ProblemInstance:
         )
     constraints_doc = _field(doc, "constraints")
     sparse = _field(constraints_doc, "sparse", "constraints")
+    if not isinstance(sparse, (list, tuple)):
+        raise InstanceFormatError(
+            f"field 'constraints.sparse' must be a list of terms, got {type(sparse).__name__}"
+        )
     offsets = _typed_array(
         _field(constraints_doc, "offsets", "constraints"), "constraints.offsets"
     )
@@ -543,7 +477,7 @@ def problem_from_document(doc) -> ProblemInstance:
         where = f"constraints.sparse[{pos}]"
         terms.append(
             (
-                _field(term, "indices", where),
+                _typed_array(_field(term, "indices", where), f"{where}.indices", np.int64),
                 _typed_array(_field(term, "values", where), f"{where}.values"),
             )
         )

@@ -53,24 +53,14 @@ def pack(values, dtype: str) -> str:
     return base64.b64encode(np.asarray(values, dtype=dtype).tobytes()).decode("ascii")
 
 
-def upper_text_json(p) -> str:
-    """The instance file in the text ``upper`` form that older writers produced.
-
-    Row i lists the nonzero entries A[i, j], j >= i, as sparse
-    ``indices``/``values`` lists, from ``np.triu`` of the matrix.
-    """
+def dense_text_json(p) -> str:
+    """The instance file with its matrix in the dense ``A`` form, the form
+    written by hand, every entry's bits kept."""
     from asmd.problems import problem_to_document
     from asmd.serialize import canonical_json
 
-    matrix = p.objective.matrix
-    rows, cols = np.nonzero(np.triu(matrix))
-    bounds = np.searchsorted(rows, np.arange(1, matrix.shape[0]))
-    upper = [
-        {"indices": idx, "values": val}
-        for idx, val in zip(np.split(cols, bounds), np.split(matrix[rows, cols], bounds))
-    ]
     doc = problem_to_document(p)
-    doc["objective"] = {"type": "quadratic", "upper": upper}
+    doc["objective"] = {"type": "quadratic", "A": p.objective.matrix}
     return canonical_json(doc)
 
 
@@ -105,6 +95,14 @@ BAD_PACKED = [
                  id="inf"),
     pytest.param({"values": pack([2.0, -np.inf], "<f8")}, InstanceValidationError, "values",
                  id="minus-inf"),
+]
+
+
+# quadratic objectives in the text forms older files used, which the reader refuses
+REMOVED_FORMS = [
+    pytest.param({"type": "quadratic", "upper": [{"indices": [0], "values": [1.0]},
+                                                 {"indices": [], "values": []}]}, id="upper"),
+    pytest.param({"type": "quadratic", "triplets": [[0, 0, 1.0]]}, id="triplets"),
 ]
 
 

@@ -18,7 +18,7 @@ from asmd.solver import (
     worst_case_iterations,
 )
 
-from conftest import BAD_PACKED, packed_objective, upper_text_json
+from conftest import BAD_PACKED, REMOVED_FORMS, dense_text_json, packed_objective
 
 
 def run_cli(*args):
@@ -125,12 +125,14 @@ class TestSolve:
     @pytest.mark.parametrize(
         "edit, field",
         [
-            pytest.param({"indices": [0.7, 1]}, "constraints", id="real-index"),
-            pytest.param({"indices": [True, 1]}, "constraints", id="bool-index"),
-            pytest.param({"triplets": [[0.9, 0, 1.0]]}, "objective.triplets[0]",
-                         id="real-triplet"),
-            pytest.param({"triplets": [[True, 0, 1.0]]}, "objective.triplets[0]",
-                         id="bool-triplet"),
+            pytest.param({"indices": [0.7, 1]}, "'constraints.sparse[0].indices'",
+                         id="real-index"),
+            pytest.param({"indices": [True, 1]}, "'constraints.sparse[0].indices'",
+                         id="bool-index"),
+            pytest.param({"indices": 5}, "'constraints.sparse[0].indices'", id="int-indices"),
+            pytest.param({"indices": None}, "'constraints.sparse[0].indices'",
+                         id="null-indices"),
+            pytest.param({"sparse": 5}, "'constraints.sparse'", id="int-sparse"),
             pytest.param({"n": True}, "'n'", id="bool-n"),
         ],
     )
@@ -139,8 +141,8 @@ class TestSolve:
         doc = json.loads(fixture_path(LINEAR_N2).read_text(encoding="utf-8"))
         if "indices" in edit:
             doc["constraints"]["sparse"][0] = {"indices": edit["indices"], "values": [1.0, 1.0]}
-        elif "triplets" in edit:
-            doc["objective"] = {"type": "quadratic", "triplets": edit["triplets"]}
+        elif "sparse" in edit:
+            doc["constraints"]["sparse"] = edit["sparse"]
         else:
             doc.update(edit)
         bad = tmp_path / "bad.json"
@@ -149,32 +151,15 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and field in err
 
-    @pytest.mark.parametrize(
-        "upper, field",
-        [
-            pytest.param([[[0], [1.0]]], "objective.upper'", id="row-count"),
-            pytest.param([[[], []], [[0], [1.0]]], "objective.upper[1]'", id="below-diagonal"),
-            pytest.param([[[2], [1.0]], [[], []]], "objective.upper[0]'", id="index-n"),
-            pytest.param([[[], []], [[1, 1], [1.0, 1.0]]], "objective.upper[1]'",
-                         id="duplicate-index"),
-            pytest.param([[[1, 0], [1.0, 1.0]], [[], []]], "objective.upper[0]'",
-                         id="decreasing-index"),
-            pytest.param([[[0, 1], [1.0]], [[], []]], "objective.upper[0]'", id="lengths"),
-            pytest.param([[[True], [1.0]], [[], []]], "objective.upper[0].indices'",
-                         id="bool-index"),
-            pytest.param([[[], []], [[1], ["1.5"]]], "objective.upper[1].values'",
-                         id="string-value"),
-        ],
-    )
-    def test_bad_upper_row_is_rejected(self, upper, field, tmp_path, capsys):
+    @pytest.mark.parametrize("objective", REMOVED_FORMS)
+    def test_removed_matrix_forms_are_refused(self, objective, tmp_path, capsys):
         doc = json.loads(fixture_path(LINEAR_N2).read_text(encoding="utf-8"))
-        rows = [{"indices": idx, "values": val} for idx, val in upper]
-        doc["objective"] = {"type": "quadratic", "upper": rows}
+        doc["objective"] = objective
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
         assert run_cli("solve", "--problem", bad, "--epsilon", 0.1) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and field in err
+        assert err.startswith("error: ") and "needs 'packed' or 'A'" in err
 
     @pytest.mark.parametrize("edits, error, key", BAD_PACKED)
     def test_bad_packed_matrix_is_rejected(self, edits, error, key, tmp_path, capsys):
@@ -192,16 +177,15 @@ class TestSolve:
 
     @pytest.mark.parametrize("seed", [0, 3, 5])
     def test_text_and_packed_files_solve_alike(self, seed, tmp_path):
-        # the same bytes out whichever form the matrix was read from
+        # the same bytes out whichever form the matrix was read from; the dense
+        # text holds the matrix the packed file loads to, whose zeros are +0.0
         for problem in (load_fixture(QUADRATIC_N3), generate_instance(30, seed=4)):
+            text, packed = tmp_path / "text.json", tmp_path / "packed.json"
+            save_problem(problem, packed)
+            text.write_text(dense_text_json(load_problem(packed)), encoding="utf-8")
             outputs = []
-            for form in ("text", "packed"):
-                inst, result, trace = (tmp_path / f"{form}{ext}"
-                                       for ext in (".json", "-result.json", ".csv"))
-                if form == "text":
-                    inst.write_text(upper_text_json(problem), encoding="utf-8")
-                else:
-                    save_problem(problem, inst)
+            for inst in (text, packed):
+                result, trace = (tmp_path / f"{inst.stem}{ext}" for ext in ("-result.json", ".csv"))
                 code = run_cli("solve", "--problem", inst, "--epsilon", 0.05, "--seed", seed,
                                "--trace-out", trace, "--result-out", result, "--no-timestamp")
                 outputs.append((code, result.read_bytes(), trace.read_bytes()))

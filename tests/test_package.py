@@ -1,3 +1,4 @@
+import json
 import os
 import re
 import subprocess
@@ -6,6 +7,8 @@ import zipfile
 from pathlib import Path
 
 import asmd
+from asmd.fixtures import QUADRATIC_N3, fixture_path, load_fixture
+from asmd.problems import problem_from_document
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -68,6 +71,25 @@ def test_readme_python_blocks_run(tmp_path, monkeypatch):
     assert len(blocks) >= 2
     monkeypatch.chdir(tmp_path)
     exec(compile("\n".join(blocks), str(README), "exec"), {"__name__": "__readme__"})
+
+
+def test_readme_instance_blocks_load():
+    # each objective the "Instance files" section shows, spliced into the
+    # bundled quadratic's document, loads to that fixture's matrix bits; a
+    # complete hand-written file also loads as it stands
+    section = README.read_text(encoding="utf-8").split("### Instance files")[1].split("\n## ")[0]
+    blocks = re.findall(r"^```json\n(.*?)^```", section, re.M | re.S)
+    expected = load_fixture(QUADRATIC_N3).objective.matrix.tobytes()
+    forms = []
+    for block in blocks:
+        doc = json.loads(block if block.startswith("{") else "{" + block + "}")
+        spliced = json.loads(fixture_path(QUADRATIC_N3).read_text(encoding="utf-8"))
+        spliced["objective"] = doc["objective"]
+        assert problem_from_document(spliced).objective.matrix.tobytes() == expected
+        if "n" in doc:
+            assert problem_from_document(doc).objective.matrix.tobytes() == expected
+        forms += set(doc["objective"]) - {"type"}
+    assert sorted(forms) == ["A", "packed"]
 
 
 def test_fixtures_load_from_a_zipped_package(tmp_path):

@@ -29,7 +29,14 @@ from asmd.problems import (
 from asmd.serialize import canonical_json
 from asmd.solver import SolverConfig, solve_adaptive
 
-from conftest import BAD_PACKED, assert_instances_equal, packed_objective, upper_text_json
+from conftest import (
+    BAD_PACKED,
+    REMOVED_FORMS,
+    assert_instances_equal,
+    dense_text_json,
+    pack,
+    packed_objective,
+)
 
 
 def tiny_linear_problem(geometry="entropy"):
@@ -263,13 +270,6 @@ class TestFileRoundTrip:
         save_problem(p, b)
         assert a.read_bytes() == b.read_bytes()
 
-    def test_triplet_matrix_loading(self, tmp_path):
-        p = tiny_linear_problem()
-        doc = problem_to_document(p)
-        doc["objective"] = {"type": "quadratic", "triplets": [[0, 1, 0.5], [1, 0, 0.5]]}
-        loaded = problem_from_document(doc)
-        np.testing.assert_array_equal(loaded.objective.matrix, [[0.0, 0.5], [0.5, 0.0]])
-
     def test_dense_text_loads_to_the_same_instance(self, tmp_path):
         # the bundled quadratic as the dense "A" form wrote it
         dense = tmp_path / "dense.json"
@@ -332,48 +332,20 @@ class TestFileRoundTrip:
         assert doc["geometry"] == "entropy"
 
 
-def quadratic_document(upper) -> dict:
+@pytest.mark.parametrize(
+    "objective", REMOVED_FORMS + [pytest.param({"type": "quadratic"}, id="no-matrix")])
+def test_removed_matrix_forms_are_refused(objective):
     doc = problem_to_document(tiny_linear_problem())
-    doc["objective"] = {"type": "quadratic", "upper": upper}
-    return doc
-
-
-BAD_UPPER = [
-    pytest.param([{"indices": [0], "values": [1.0]}], InstanceValidationError,
-                 r"objective\.upper'.*n = 2 rows, got 1", id="row-count"),
-    pytest.param([{"indices": [], "values": []}, {"indices": [0], "values": [1.0]}],
-                 InstanceValidationError, r"objective\.upper\[1\]' indices must lie in \[i, n\)",
-                 id="below-diagonal"),
-    pytest.param([{"indices": [0, 2], "values": [1.0, 1.0]}, {"indices": [], "values": []}],
-                 InstanceValidationError, r"objective\.upper\[0\]' indices must lie in \[i, n\)",
-                 id="index-n"),
-    pytest.param([{"indices": [], "values": []}, {"indices": [1, 1], "values": [1.0, 2.0]}],
-                 InstanceValidationError, r"objective\.upper\[1\]' indices must strictly increase",
-                 id="duplicate-index"),
-    pytest.param([{"indices": [1, 0], "values": [1.0, 2.0]}, {"indices": [], "values": []}],
-                 InstanceValidationError, r"objective\.upper\[0\]' indices must strictly increase",
-                 id="decreasing-index"),
-    pytest.param([{"indices": [0, 1], "values": [1.0]}, {"indices": [], "values": []}],
-                 InstanceValidationError, r"objective\.upper\[0\]' has 2 indices but 1 values",
-                 id="lengths"),
-    pytest.param([{"indices": [], "values": []}, {"indices": [True], "values": [1.0]}],
-                 InstanceFormatError, r"objective\.upper\[1\]\.indices' .*integers: got bool",
-                 id="bool-index"),
-    pytest.param([{"indices": [0], "values": ["1.5"]}, {"indices": [], "values": []}],
-                 InstanceFormatError, r"objective\.upper\[0\]\.values' .*reals: got str",
-                 id="string-value"),
-]
-
-
-@pytest.mark.parametrize("upper, error, message", BAD_UPPER)
-def test_upper_rejections(upper, error, message):
-    with pytest.raises(error, match=message):
-        problem_from_document(quadratic_document(upper))
+    doc["objective"] = objective
+    with pytest.raises(InstanceFormatError, match=r"'objective' needs 'packed' or 'A'$"):
+        problem_from_document(doc)
 
 
 def test_upper_scatters_both_halves():
-    upper = [{"indices": [0, 1], "values": [2.0, -0.5]}, {"indices": [], "values": []}]
-    matrix = problem_from_document(quadratic_document(upper)).objective.matrix
+    doc = problem_to_document(tiny_linear_problem())
+    doc["objective"] = packed_objective(counts=pack([2, 0], "<i4"), indices=pack([0, 1], "<i4"),
+                                        values=pack([2.0, -0.5], "<f8"))
+    matrix = problem_from_document(doc).objective.matrix
     np.testing.assert_array_equal(matrix, [[2.0, -0.5], [-0.5, 0.0]])
 
 
@@ -383,13 +355,13 @@ def test_upper_mirror_is_the_two_scatter_formula():
     n = 2 * _ROW_BLOCK + 3
     rng = np.random.default_rng(4)
     doc = problem_to_document(generate_instance(n, seed=4))
-    upper, rows, cols, values = [], [], [], []
+    counts, rows, cols, values = [], [], [], []
     for i in range(n):
         idx = np.flatnonzero(rng.random(n - i) < 0.2) + i
         val = rng.standard_normal(idx.size)
         val[rng.random(idx.size) < 0.2] = -0.0
         val[rng.random(idx.size) < 0.1] = 0.0
-        upper.append({"indices": idx.tolist(), "values": val.tolist()})
+        counts.append(idx.size)
         rows += [i] * idx.size
         cols += idx.tolist()
         values += val.tolist()
@@ -397,7 +369,8 @@ def test_upper_mirror_is_the_two_scatter_formula():
     expected[rows, cols] = values
     expected[cols, rows] = values
     assert np.signbit(expected[expected == 0]).any()
-    doc["objective"] = {"type": "quadratic", "upper": upper}
+    doc["objective"] = packed_objective(counts=pack(counts, "<i4"), indices=pack(cols, "<i4"),
+                                        values=pack(values, "<f8"))
     matrix = problem_from_document(doc).objective.matrix
     assert matrix.tobytes() == expected.tobytes()
 
@@ -433,8 +406,6 @@ BAD_REALS = [
                  "bool, str", id="c"),
     pytest.param(("objective",), {"type": "quadratic", "A": [[1.0, True], [True, 1.0]]},
                  "objective.A", "bool", id="dense-A"),
-    pytest.param(("objective",), {"type": "quadratic", "triplets": [[0, 0, "1"]]},
-                 "objective.triplets[0]", "'1'", id="triplet-value"),
     pytest.param(("constraints", "sparse", 0), {"indices": [0], "values": ["1"]},
                  "constraints.sparse[0].values", "str", id="constraint-values"),
     pytest.param(("constraints", "offsets"), [True], "constraints.offsets", "bool", id="offsets"),
@@ -523,23 +494,24 @@ class TestCompactFiles:
     @pytest.mark.parametrize(
         "n, seed", [(2, 0), (3, 1), (50, 7), (128, 2), (129, 3), (257, 4), (300, 5)])
     def test_packed_blobs_hold_the_text_rows(self, n, seed):
-        # the same entries, in the same order, as the text rows from np.triu
+        # the same entries, in the same order, as the rows of np.triu
         p = generate_instance(n, seed=seed)
-        upper = json.loads(upper_text_json(p))["objective"]["upper"]
+        rows, cols = np.nonzero(np.triu(p.objective.matrix))
         expected = {
-            "counts": np.array([len(row["indices"]) for row in upper], "<i4").tobytes(),
-            "indices": np.array([j for row in upper for j in row["indices"]], "<i4").tobytes(),
-            "values": np.array([v for row in upper for v in row["values"]], "<f8").tobytes(),
+            "counts": np.bincount(rows, minlength=n).astype("<i4").tobytes(),
+            "indices": cols.astype("<i4").tobytes(),
+            "values": p.objective.matrix[rows, cols].astype("<f8").tobytes(),
         }
         packed = problem_to_document(p)["objective"]["packed"]
         assert {key: bytes(blob) for key, blob in packed.items()} == expected
 
     def test_text_forms_load_to_the_packed_bits(self, tmp_path):
-        # the bundled quadratic as the text form wrote it, then a generated one
-        assert upper_text_json(load_fixture(QUADRATIC_N3)) == UPPER_QUADRATIC_N3
-        generated = generate_instance(300, seed=5)
-        for text, expected in ((UPPER_QUADRATIC_N3, load_fixture(QUADRATIC_N3)),
-                               (upper_text_json(generated), generated)):
+        # the bundled quadratic in the dense text form, then a generated one as
+        # its packed file loads, with +0.0 zeros, which the packed form keeps
+        assert dense_text_json(load_fixture(QUADRATIC_N3)) == DENSE_QUADRATIC_N3
+        generated = problem_from_document(problem_to_document(generate_instance(300, seed=5)))
+        for text, expected in ((DENSE_QUADRATIC_N3, load_fixture(QUADRATIC_N3)),
+                               (dense_text_json(generated), generated)):
             text_path, packed_path = tmp_path / "text.json", tmp_path / "packed.json"
             text_path.write_text(text, encoding="utf-8")
             q = load_problem(text_path)
@@ -554,24 +526,23 @@ class TestCompactFiles:
         # the scatter and mirror build a finite, exactly symmetric matrix, which the
         # objective takes as it is; a dense "A" still goes through the checks
         p = generate_instance(50, seed=3)
+        assert np.signbit(p.objective.matrix[p.objective.matrix == 0]).any()
         packed_path, text_path = tmp_path / "packed.json", tmp_path / "text.json"
         save_problem(p, packed_path)
-        text_path.write_text(upper_text_json(p), encoding="utf-8")
-        dense = problem_to_document(p)
-        dense["objective"] = {"type": "quadratic", "A": p.objective.matrix.tolist()}
+        text_path.write_text(dense_text_json(p), encoding="utf-8")
         scans = []
         is_symmetric = oracle._is_symmetric
         monkeypatch.setattr(oracle, "_is_symmetric", lambda a: scans.append(a) or is_symmetric(a))
-        for q in (load_problem(packed_path), load_problem(text_path)):
-            assert not q.objective.symmetrized
-            assert not q.objective.matrix.flags.writeable
-            assert (q.objective.matrix == p.objective.matrix).all()
+        q = load_problem(packed_path)
+        assert not q.objective.symmetrized
+        assert not q.objective.matrix.flags.writeable
+        assert q.objective.matrix.tobytes() == (p.objective.matrix + 0.0).tobytes()
         assert scans == []
-        q = problem_from_document(dense)
+        q = load_problem(text_path)
         assert len(scans) == 1 and not q.objective.symmetrized
         assert q.objective.matrix.tobytes() == p.objective.matrix.tobytes()
 
-    def test_edge_values_keep_their_bits(self, tmp_path):
+    def test_edge_values_keep_their_bits(self, tmp_path, monkeypatch):
         sub = 2.2250738585072014e-308 / 4  # subnormal
         matrix = np.array([
             [-0.0, 5e-324, 1e308, 3.0],
@@ -589,13 +560,18 @@ class TestCompactFiles:
             feasible_witness=np.full(4, 0.25),
             margin=1.0,
         )
-        # zeros of either sign come back as +0.0; every other entry keeps its bits
-        expected = (matrix + 0.0).tobytes()
+        # packed zeros of either sign come back as +0.0, and every other entry
+        # keeps its bits; the dense text keeps every entry's bits, -0.0 too
         packed_path, text_path, again = (tmp_path / name for name in ("p.json", "t.json", "a.json"))
         save_problem(p, packed_path)
-        text_path.write_text(upper_text_json(p), encoding="utf-8")
-        for path in (packed_path, text_path):
-            assert load_problem(path).objective.matrix.tobytes() == expected
+        text_path.write_text(dense_text_json(p), encoding="utf-8")
+        scans = []
+        is_symmetric = oracle._is_symmetric
+        monkeypatch.setattr(oracle, "_is_symmetric", lambda a: scans.append(a) or is_symmetric(a))
+        assert load_problem(packed_path).objective.matrix.tobytes() == (matrix + 0.0).tobytes()
+        assert scans == []
+        assert load_problem(text_path).objective.matrix.tobytes() == matrix.tobytes()
+        assert len(scans) == 1
         save_problem(load_problem(packed_path), again)
         assert again.read_bytes() == packed_path.read_bytes()
 
@@ -791,52 +767,6 @@ DENSE_QUADRATIC_N3 = """{
       [0.59999999999999998, 0.20000000000000001, 0.10000000000000001],
       [0.20000000000000001, 0.5, 0.14999999999999999],
       [0.10000000000000001, 0.14999999999999999, 0.69999999999999996]
-    ]
-  },
-  "constraints": {
-    "sparse": [
-      {
-        "indices": [0],
-        "values": [1.0]
-      },
-      {
-        "indices": [1],
-        "values": [0.80000000000000004]
-      },
-      {
-        "indices": [0, 2],
-        "values": [-0.5, 0.59999999999999998]
-      }
-    ],
-    "offsets": [0.25, 0.28999999999999998, 0.25]
-  },
-  "geometry": "entropy",
-  "oracle": "exact",
-  "witness": [0.20000000000000001, 0.29999999999999999, 0.5],
-  "margin": 0.049999999999999989
-}
-"""
-
-
-# quadratic_n3.json as the text writer wrote it
-UPPER_QUADRATIC_N3 = """{
-  "name": "quadratic-n3",
-  "n": 3,
-  "objective": {
-    "type": "quadratic",
-    "upper": [
-      {
-        "indices": [0, 1, 2],
-        "values": [0.59999999999999998, 0.20000000000000001, 0.10000000000000001]
-      },
-      {
-        "indices": [1, 2],
-        "values": [0.5, 0.14999999999999999]
-      },
-      {
-        "indices": [2],
-        "values": [0.69999999999999996]
-      }
     ]
   },
   "constraints": {
