@@ -29,8 +29,6 @@ from .checks import SUITES
 from .geometry import GEOMETRY_KINDS
 from .problems import (
     ORACLE_MODES,
-    InstanceFormatError,
-    InstanceValidationError,
     ProblemInstance,
     generate_instance,
     load_problem,
@@ -237,7 +235,7 @@ def run_benchmark(
                 results = _benchmark_cell_runs(
                     problem, variant, mode, epsilon, seeds, base_seed, fixed_m, jobs
                 )
-            except (InfeasibleRunError, InstanceValidationError, ValueError) as exc:
+            except (InfeasibleRunError, ValueError) as exc:
                 row.status = f"error: {exc}"
                 rows.append(row)
                 continue
@@ -383,16 +381,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # the instance errors are ValueErrors; a MemoryError is an n x n matrix
+    # too large for this host, as a file may state any n
     try:
         return args.func(args, parser)
-    except (
-        OSError,
-        InstanceFormatError,
-        InstanceValidationError,
-        InfeasibleRunError,
-        ValueError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, ValueError, InfeasibleRunError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

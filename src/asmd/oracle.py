@@ -14,8 +14,8 @@ stays dense, the reference the batch is tested against.
 exactly. Sparse directions plus scalar offsets are its stored and file
 form, so the raw sparsity survives the feasibility shift applied by
 instance generators; values and subgradients read dense rows built from
-them at construction. One evaluation yields both the value and the active
-term, whose dense shifted direction is the constraint subgradient.
+them at construction. The argmax of one evaluation is the active term,
+whose dense shifted direction is the constraint subgradient.
 
 Oracles return plain arrays and check their data once, at construction:
 finite data yields finite samples. They are immutable after construction:
@@ -27,25 +27,25 @@ Index draws have one CDF scan, ``draw_index``, which makes no check: the
 solver's step calls it on its own iterates, which are on the simplex by
 construction, and ``checks.unbiasedness_report``, the statistical check
 of the column oracle, checks that its point is a distribution first. For
-the same reason the step evaluates the constraint with
-``values_unchecked`` and an exact gradient with ``gradient_unchecked``; the
-public ``values``, ``value``, ``value_and_argmax`` and ``gradient`` check
-the point's shape first.
+the same reason each oracle serves the step one unchecked read, the
+constraint ``values_unchecked(x, support=None)`` and an objective
+``gradient_unchecked(x, support=None)``; the public ``values``, ``value``
+and ``gradient`` check the point's shape first.
 
 Under the Euclidean geometry the prox step projects onto the simplex, so
 most coordinates of an iterate are zero, and the step reads both oracles
 over the iterate's support S, which it scans once, ``support_of(x)``, and
-passes to each. The constraint values are ``x[S] @ C'[S] - b`` from
+passes to each read. The constraint values are ``x[S] @ C'[S] - b`` from
 ``term_columns``, a C-contiguous copy of the transposed term matrix,
-O(|S| m) in place of O(n m); the exact gradient comes from
-``gradient_on_support``, ``x[S] @ A[S]`` over |S| rows of the symmetric
-matrix, O(|S| n) in place of O(n^2). Both fall back to the dense product
-once |S| passes n / 2, as at the uniform starting point, and otherwise
-differ from it by rounding only. The public ``values`` scans the support
-itself and applies the same rule, so it returns a step's values bit for
-bit. Entropy iterates are never sparse, so entropy steps keep the dense
-products and skip the scan. ``gradient`` stays dense: it is the reference
-the support product is tested against.
+O(|S| m) in place of O(n m); a quadratic's exact gradient is
+``x[S] @ A[S]`` over |S| rows of the symmetric matrix, O(|S| n) in place
+of O(n^2). Each read applies its own rule: without a support, or once
+|S| passes n / 2, as at the uniform starting point, it is the dense
+product, and otherwise it differs from it by rounding only. The public
+``values`` scans the support itself and applies the same rule, so it
+returns a step's values bit for bit. Entropy iterates are never sparse,
+so entropy steps keep the dense products and skip the scan. ``gradient``
+stays dense: it is the reference the support product is tested against.
 
 Randomness is confined to ``RngStream`` objects owned by each solver run,
 so concurrent runs with distinct streams never interact.
@@ -57,9 +57,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-#: Rows per block of the symmetry check, which bounds its boolean temporary
-#: to ``SYMMETRY_BLOCK x n`` where a whole-matrix comparison allocates n x n.
-SYMMETRY_BLOCK = 128
+#: Rows per strip of every pass over an n x n matrix: the symmetry check
+#: here, and the generator, writer and reader in ``problems``. It bounds each
+#: temporary to ``ROW_BLOCK x n`` where a whole-matrix pass allocates n x n.
+ROW_BLOCK = 128
 
 #: Columns per block of ``QuadraticObjective.value_batch``. On 64 rows at
 #: n = 500 to 4000 (one OpenBLAS thread, 2-core Xeon VM), widths 128 to 512
@@ -101,12 +102,12 @@ def _check_point(x, dimension: int) -> np.ndarray:
 
 def _is_symmetric(a: np.ndarray) -> bool:
     """``np.array_equal(a, a.T)`` for a square a, NaN and signed zeros
-    alike, comparing each block of ``SYMMETRY_BLOCK`` rows of the upper
+    alike, comparing each block of ``ROW_BLOCK`` rows of the upper
     triangle with the columns of the lower one instead of the whole
     transpose."""
     n = a.shape[0]
-    for i in range(0, n, SYMMETRY_BLOCK):
-        j = i + SYMMETRY_BLOCK
+    for i in range(0, n, ROW_BLOCK):
+        j = i + ROW_BLOCK
         if not (a[i:j, i:] == a[i:, i:j].T).all():
             return False
     return True
@@ -208,20 +209,17 @@ class QuadraticObjective:
         """Exact gradient ``A x`` (O(n^2) dense)."""
         return self.gradient_unchecked(_check_point(x, self.dimension))
 
-    def gradient_unchecked(self, x: np.ndarray) -> np.ndarray:
-        """``gradient`` for a float vector of the right shape, unchecked."""
-        return self.matrix @ x
+    def gradient_unchecked(self, x: np.ndarray, support: np.ndarray | None = None) -> np.ndarray:
+        """``gradient`` for a float vector of the right shape, unchecked.
 
-    def gradient_on_support(self, x: np.ndarray, support: np.ndarray) -> np.ndarray:
-        """``A x`` from the rows of x's support S, ``x[S] @ A[S]``, unchecked.
-
-        ``support`` is ``support_of(x)``, scanned once by the caller. Row i
-        is column i, since the matrix is exactly symmetric, so this reads
-        |S| rows, O(|S| n), and differs from ``A @ x`` by rounding only.
-        Past half the coordinates the gather would copy most of A, so it
-        falls back to ``A @ x`` itself.
+        Given x's support S, ``support_of(x)``, with 2 |S| <= n, this is
+        ``x[S] @ A[S]``: row i is column i, since the matrix is exactly
+        symmetric, so it reads |S| rows, O(|S| n), and differs from
+        ``A @ x`` by rounding only. Without a support, or past half the
+        coordinates, where the gather would copy most of A, it is the
+        dense product itself.
         """
-        if 2 * support.size > self.dimension:
+        if support is None or 2 * support.size > self.dimension:
             return self.matrix @ x
         # dot, not @: the same product with less call overhead
         return x.take(support).dot(self.matrix.take(support, axis=0))
@@ -250,12 +248,9 @@ class LinearObjective:
         """The read-only coefficient vector itself."""
         return self.gradient_unchecked(_check_point(x, self.dimension))
 
-    def gradient_unchecked(self, x: np.ndarray) -> np.ndarray:
-        """``gradient`` for a float vector of the right shape, unchecked."""
-        return self.coefficients
-
-    def gradient_on_support(self, x: np.ndarray, support: np.ndarray) -> np.ndarray:
-        """The coefficient vector: a constant gradient has no support to use."""
+    def gradient_unchecked(self, x: np.ndarray, support: np.ndarray | None = None) -> np.ndarray:
+        """``gradient`` for a float vector of the right shape, unchecked: a
+        constant gradient has no use for the support."""
         return self.coefficients
 
 
@@ -362,15 +357,8 @@ class MaxLinearConstraint:
         # dot, not @: the same product with less call overhead
         return x.take(support).dot(self.term_columns.take(support, axis=0)) - self.offsets
 
-    def value_and_argmax(self, x) -> tuple[float, int]:
-        """Value at x and the index of the active term, from one evaluation;
-        ties resolve to the smallest index."""
-        vals = self.values(x)
-        m = int(vals.argmax())
-        return float(vals[m]), m
-
     def value(self, x) -> float:
-        return self.value_and_argmax(x)[0]
+        return float(self.values(x).max())
 
     def value_batch(self, points: np.ndarray) -> np.ndarray:
         """Value at each row of ``points``: the same product over the stack."""

@@ -24,10 +24,10 @@ The one other form it accepts is a dense ``"A"``, the form to write by
 hand, which goes through the objective's checked constructor.
 
 At large n the matrix is the one big array, so generation, the writer and
-the reader work on it in strips of ``_ROW_BLOCK`` rows: the generator masks
-and symmetrizes the matrix in place, the writer scans only the upper
-triangle, strip by strip, and the reader mirrors it. None holds a second
-n x n array, and the writer holds no text of the whole document.
+the reader work on it in strips of ``oracle.ROW_BLOCK`` rows: the
+generator masks and symmetrizes the matrix in place, the writer scans only
+the upper triangle, strip by strip, and the reader mirrors it. None holds
+a second n x n array, and the writer holds no text of the whole document.
 
 The reader checks the types of each parsed list at once, from the set of
 its element types: booleans, strings and nested lists are rejected where a
@@ -47,6 +47,7 @@ import numpy as np
 
 from .geometry import DUAL_NORM_KERNELS, Geometry, on_simplex
 from .oracle import (
+    ROW_BLOCK,
     LinearObjective,
     MaxLinearConstraint,
     QuadraticObjective,
@@ -59,14 +60,8 @@ from .serialize import BLOB_TYPES
 
 ORACLE_MODES = ("exact", "column")
 
-#: Rows per block of the generator's mask and symmetrization, of the
-#: writer's upper-triangle scan and of the reader's mirror copy, which
-#: bounds each temporary to ``_ROW_BLOCK x n`` beside the n x n matrix;
-#: ``oracle.SYMMETRY_BLOCK`` is the same size.
-_ROW_BLOCK = 128
-
 #: The upper triangle, diagonal included, of a strip's leading square.
-_UPPER_SQUARE = np.triu(np.ones((_ROW_BLOCK, _ROW_BLOCK), dtype=bool))
+_UPPER_SQUARE = np.triu(np.ones((ROW_BLOCK, ROW_BLOCK), dtype=bool))
 
 
 class InstanceFormatError(ValueError):
@@ -137,16 +132,13 @@ class ProblemInstance:
 
     def objective_sample(self, x, rng: RngStream, support: np.ndarray | None = None) -> np.ndarray:
         """The step's gradient sample at its own iterate x, unchecked: the
-        iterates are float vectors on the simplex by construction. Given
-        x's support, ``oracle.support_of(x)``, which a Euclidean step scans
-        once for its constraint values too, an exact sample is the product
-        over it; without one, the dense gradient. Projected iterates are
-        sparse, entropy iterates never are."""
+        iterates are float vectors on the simplex by construction. A column
+        draw, or the objective's one exact read, ``gradient_unchecked(x,
+        support)``; a Euclidean step passes the support it scanned for its
+        constraint values, an entropy step none."""
         if self.oracle_mode == "column":
             return self.objective.matrix[draw_index(x, rng)]
-        if support is None:
-            return self.objective.gradient_unchecked(x)
-        return self.objective.gradient_on_support(x, support)
+        return self.objective.gradient_unchecked(x, support)
 
     def constraint_value(self, x) -> float:
         return self.constraint.value(x)
@@ -157,7 +149,7 @@ def _symmetric_masked_normal(rng: np.random.Generator, n: int, density: float) -
     as n x n standard normals and uniforms, built bit for bit inside the
     array of normals, the only n x n array it allocates.
 
-    The uniforms come ``_ROW_BLOCK`` rows at a time, which consumes the
+    The uniforms come ``ROW_BLOCK`` rows at a time, which consumes the
     stream exactly as one n x n draw does, and each block masks its rows in
     place; a masked entry is ``N * 0.0``, a zero of N's sign. Then the
     strip of rows i:j, past column i, takes ``0.5 * (upper + lower.T)``,
@@ -166,11 +158,11 @@ def _symmetric_masked_normal(rng: np.random.Generator, n: int, density: float) -
     entries keep their bits too.
     """
     a = rng.standard_normal((n, n))
-    for i in range(0, n, _ROW_BLOCK):
-        rows = a[i:i + _ROW_BLOCK]
+    for i in range(0, n, ROW_BLOCK):
+        rows = a[i:i + ROW_BLOCK]
         rows *= rng.random(rows.shape) < density
-    for i in range(0, n, _ROW_BLOCK):
-        j = i + _ROW_BLOCK
+    for i in range(0, n, ROW_BLOCK):
+        j = i + ROW_BLOCK
         half = a[i:j, i:] + a[i:, i:j].T
         half *= 0.5
         a[i:j, i:] = half
@@ -193,7 +185,7 @@ def generate_instance(
     The matrix is the symmetric part of a density-masked standard normal
     matrix, built in place (``_symmetric_masked_normal``): the returned
     matrix is the only n x n array generation holds, beside blocks of
-    ``_ROW_BLOCK`` rows. It is finite and exactly symmetric by
+    ``ROW_BLOCK`` rows. It is finite and exactly symmetric by
     construction, so the objective adopts it without the checked
     constructor's copy and scan. Constraint directions are masked normals
     stored sparsely. Each direction is shifted by a scalar offset so a
@@ -248,16 +240,16 @@ def _packed_upper(matrix: np.ndarray) -> dict:
     """The nonzero entries A[i, j], j >= i, as the three packed blobs, each
     the raw bytes of a little-endian array.
 
-    The upper triangle is scanned in strips of ``_ROW_BLOCK`` rows, rows
+    The upper triangle is scanned in strips of ``ROW_BLOCK`` rows, rows
     i:j past column i with the strip's square cut to its upper triangle,
     so no scan covers the lower half or holds more than a strip's indices.
     """
     n = matrix.shape[0]
     parts = {key: [] for key in _PACKED_DTYPES}
-    for i in range(0, n, _ROW_BLOCK):
-        strip = matrix[i:i + _ROW_BLOCK, i:]
+    for i in range(0, n, ROW_BLOCK):
+        strip = matrix[i:i + ROW_BLOCK, i:]
         nonzero = strip != 0
-        square = nonzero[:, :_ROW_BLOCK]
+        square = nonzero[:, :ROW_BLOCK]
         square &= _UPPER_SQUARE[:square.shape[0], :square.shape[1]]
         parts["counts"].append(np.count_nonzero(nonzero, axis=1))
         parts["indices"].append(nonzero.nonzero()[1].astype("<i4") + i)
@@ -371,7 +363,7 @@ def _upper_matrix(counts, cols, vals, n: int) -> np.ndarray:
 
     Checked, the entries' row-major flat indices ``i n + j`` increase, so
     one scatter writes the upper triangle front to back. Each strip of
-    ``_ROW_BLOCK`` rows i:j is then mirrored below the diagonal: the
+    ``ROW_BLOCK`` rows i:j is then mirrored below the diagonal: the
     columns past j by one transposed block copy, the strip's leading
     square by a copy of its upper triangle to its lower one. Every entry
     below the diagonal is its mirror's bits, signed zeros included.
@@ -418,8 +410,8 @@ def _upper_matrix(counts, cols, vals, n: int) -> np.ndarray:
     flat += cols
     matrix = np.zeros((n, n))
     matrix.reshape(-1)[flat] = vals
-    for i in range(0, n, _ROW_BLOCK):
-        j = i + _ROW_BLOCK
+    for i in range(0, n, ROW_BLOCK):
+        j = i + ROW_BLOCK
         matrix[j:, i:j] = matrix[i:j, j:].T
         square = matrix[i:j, i:j]
         k = square.shape[0]

@@ -31,8 +31,10 @@ for bit.
 Each step is yielded as an immutable ``StepState`` tuple.
 
 A productive step samples through ``ProblemInstance.objective_sample``.
+Each oracle has one read, which takes an optional support:
+``values_unchecked(x, support)`` and ``gradient_unchecked(x, support)``.
 Under Euclidean geometry a projected iterate is sparse, so the step scans
-its support S once, ``support_of(x)``, and hands it to both oracles: the
+its support S once, ``support_of(x)``, and hands it to both: the
 constraint values are read from |S| columns of the term matrix, and an
 exact sample is the product ``x[S] @ A[S]`` over |S| rows of the matrix,
 each falling back to the dense product past half the coordinates. Each
@@ -95,7 +97,8 @@ class SolverConfig:
     subgradient bound the fixed policy needs. ``max_iterations`` caps the
     adaptive loop; when omitted, a safety cap of ten times the worst-case
     count (with the largest sample norm seen so far standing in for the
-    uniform bound) is maintained on the fly. The objective value is
+    uniform bound) is maintained on the fly. Each is refused with the other
+    variant, whose step would ignore it. The objective value is
     evaluated only for trace rows, not by the step, in blocks of
     ``TRACE_BLOCK`` iterates, each of which reads the upper block triangle
     of a quadratic's matrix, not the whole matrix; its last digits may
@@ -122,6 +125,9 @@ class SolverConfig:
             raise ValueError(f"fixed_M must be finite, got {self.fixed_M}")
         if self.variant == FIXED and (self.fixed_M is None or not self.fixed_M > 0):
             raise ValueError("the fixed variant needs a positive fixed_M bound")
+        ignored = "max_iterations" if self.variant == FIXED else "fixed_M"
+        if getattr(self, ignored) is not None:
+            raise ValueError(f"{ignored} does not apply to the {self.variant} variant")
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from asmd import cli, problems
 from asmd.cli import main, run_benchmark
 from asmd.fixtures import LINEAR_N2, QUADRATIC_N3, fixture_path, load_fixture
 from asmd.oracle import QuadraticObjective
@@ -44,6 +45,18 @@ class TestGen:
             run_cli("gen", "--n", 1, "--out", tmp_path / "x.json")
         assert err.value.code == 2
         assert "--n" in capsys.readouterr().err
+
+    def test_memory_error_is_an_error_exit(self, tmp_path, monkeypatch, capsys):
+        # raised, never allocated: an overcommitting host could grant it; a
+        # bare MemoryError has no message, so its name stands in
+        def refuse(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "generate_instance", refuse)
+        out = tmp_path / "huge.json"
+        assert run_cli("gen", "--n", 1_000_000, "--out", out) == 1
+        assert capsys.readouterr().err == "error: MemoryError\n"
+        assert not out.exists()
 
 
 class TestSolve:
@@ -222,6 +235,34 @@ class TestSolve:
                     "--variant", "fixed")
         assert err.value.code == 2
         assert "--fixed-M" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args, setting, variant",
+        [
+            (["--variant", "fixed", "--fixed-M", 1, "--max-iterations", 5],
+             "max_iterations", "fixed"),
+            (["--fixed-M", 3], "fixed_M", "adaptive"),
+        ],
+        ids=["max-iterations-fixed", "fixed-M-adaptive"],
+    )
+    def test_setting_of_the_other_variant_is_refused(self, args, setting, variant, capsys):
+        code = run_cli("solve", "--problem", fixture_path(QUADRATIC_N3), "--epsilon", 0.1, *args)
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert setting in captured.err and f"{variant} variant" in captured.err
+
+    def test_memory_error_is_an_error_exit(self, monkeypatch, capsys):
+        # raised, never allocated: an overcommitting host could grant it
+        def refuse(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.28 TiB")
+
+        monkeypatch.setattr(problems, "_upper_matrix", refuse)
+        assert run_cli("solve", "--problem", fixture_path(QUADRATIC_N3), "--epsilon", 0.1) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: Unable to allocate 7.28 TiB\n"
 
     def test_cap_reached_exit_code(self, tmp_path):
         code = run_cli(

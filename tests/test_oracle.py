@@ -3,7 +3,7 @@ import pytest
 
 from asmd.checks import unbiasedness_report
 from asmd.oracle import (
-    SYMMETRY_BLOCK,
+    ROW_BLOCK,
     VALUE_BLOCK,
     LinearObjective,
     MaxLinearConstraint,
@@ -52,7 +52,7 @@ def column_problem(matrix):
 
 def active_direction(c, x):
     """The constraint subgradient at x: the active term's shifted direction."""
-    return c.directions[c.value_and_argmax(x)[1]]
+    return c.directions[c.values(x).argmax()]
 
 
 class TestRngStream:
@@ -96,7 +96,7 @@ class TestQuadraticObjective:
 
     def test_blocked_symmetry_check_matches_array_equal(self):
         # three blocks of rows, the last one partial
-        n = 2 * SYMMETRY_BLOCK + 44
+        n = 2 * ROW_BLOCK + 44
         raw = np.random.default_rng(5).standard_normal((n, n))
         symmetric = raw + raw.T
         one_off = symmetric.copy()
@@ -129,10 +129,12 @@ class TestQuadraticObjective:
                 support = rng.choice(n, size=size, replace=False)
                 x[support] = rng.dirichlet(np.ones(size)) if size else []
                 dense = q.matrix @ x
-                product = q.gradient_on_support(x, x.nonzero()[0])
+                product = q.gradient_unchecked(x, x.nonzero()[0])
+                # no support, the entropy step's read, is A @ x bit for bit
+                assert q.gradient_unchecked(x).tobytes() == dense.tobytes()
                 if 2 * size > n:
                     # the dense fallback, bit for bit
-                    np.testing.assert_array_equal(product, dense)
+                    assert product.tobytes() == dense.tobytes()
                 else:
                     scale = float(np.abs(q.matrix).max())
                     np.testing.assert_allclose(product, dense, rtol=1e-13, atol=1e-13 * scale)
@@ -308,7 +310,8 @@ class TestLinearObjective:
     def test_gradient_on_support_is_the_coefficients(self):
         obj = LinearObjective([1.0, 2.0, 3.0])
         x = np.array([0.0, 1.0, 0.0])
-        assert obj.gradient_on_support(x, x.nonzero()[0]) is obj.coefficients
+        assert obj.gradient_unchecked(x, x.nonzero()[0]) is obj.coefficients
+        assert obj.gradient_unchecked(x) is obj.coefficients
 
     def test_gradient_is_read_only(self):
         obj = LinearObjective([1.0, 2.0])
@@ -336,7 +339,7 @@ class TestMaxLinearConstraint:
 
     def test_tie_breaks_to_smallest_index(self):
         c = make_constraint([[1.0, 0.0], [1.0, 0.0]])
-        assert c.value_and_argmax([0.5, 0.5])[1] == 0
+        assert c.values([0.5, 0.5]).argmax() == 0
         np.testing.assert_array_equal(active_direction(c, [0.5, 0.5]), [1.0, 0.0])
 
     def test_single_term(self):
@@ -397,7 +400,7 @@ class TestMaxLinearConstraint:
                 # one support rule for the public and the step's evaluation
                 np.testing.assert_array_equal(values, c.values_unchecked(x, x.nonzero()[0]))
                 np.testing.assert_array_equal(c.values_unchecked(x), dense)
-                assert c.value_and_argmax(x) == (values.max(), int(values.argmax()))
+                assert c.value(x) == values.max() == values[values.argmax()]
                 if 2 * size > n:
                     # the dense fallback, bit for bit
                     np.testing.assert_array_equal(values, dense)

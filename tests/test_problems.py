@@ -11,10 +11,9 @@ import pytest
 from asmd import oracle
 from asmd.checks import dual_norm
 from asmd.geometry import DUAL_NORM_KERNELS
-from asmd.oracle import LinearObjective, MaxLinearConstraint, QuadraticObjective
+from asmd.oracle import ROW_BLOCK, LinearObjective, MaxLinearConstraint, QuadraticObjective
 from asmd.fixtures import LINEAR_N2, QUADRATIC_N3, fixture_path, load_fixture
 from asmd.problems import (
-    _ROW_BLOCK,
     InstanceFormatError,
     InstanceValidationError,
     ProblemInstance,
@@ -352,7 +351,7 @@ def test_upper_scatters_both_halves():
 def test_upper_mirror_is_the_two_scatter_formula():
     # three strips, with explicit zeros of both signs, against the reference
     # that scatters each entry to (i, j) and then to (j, i)
-    n = 2 * _ROW_BLOCK + 3
+    n = 2 * ROW_BLOCK + 3
     rng = np.random.default_rng(4)
     doc = problem_to_document(generate_instance(n, seed=4))
     counts, rows, cols, values = [], [], [], []

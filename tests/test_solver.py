@@ -78,7 +78,9 @@ def check_steps(problem, config):
         assert on_simplex(st_state.x)
         assert on_simplex(st_state.x_next)
         assert st_state.M == dual_norm(geom, st_state.gradient)
-        g_value, active = constraint.value_and_argmax(st_state.x)
+        term_values = constraint.values(st_state.x)
+        active = term_values.argmax()
+        g_value = term_values[active]
         assert st_state.g_value == g_value
         support = np.flatnonzero(st_state.x)
         if geom.kind == "euclidean" and 2 * support.size <= n:
@@ -636,6 +638,11 @@ class TestSolverConfig:
             SolverConfig(epsilon=0.1, max_iterations=0)
         with pytest.raises(ValueError):
             SolverConfig(epsilon=0.1, variant=FIXED, fixed_M=0.0)
+        # a setting the variant's step would ignore
+        with pytest.raises(ValueError, match="max_iterations .* fixed variant"):
+            SolverConfig(epsilon=0.1, variant=FIXED, fixed_M=1.0, max_iterations=5)
+        with pytest.raises(ValueError, match="fixed_M .* adaptive variant"):
+            SolverConfig(epsilon=0.1, fixed_M=3.0)
         for bad in (math.inf, math.nan):
             with pytest.raises(ValueError):
                 SolverConfig(epsilon=bad)
