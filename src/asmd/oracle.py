@@ -57,9 +57,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-#: Rows per strip of every pass over an n x n matrix: the symmetry check
-#: here, and the generator, writer and reader in ``problems``. It bounds each
-#: temporary to ``ROW_BLOCK x n`` where a whole-matrix pass allocates n x n.
+#: Edge of the blocks of every pass over an n x n matrix: the symmetry check
+#: here and the generator's symmetrization take ``ROW_BLOCK x ROW_BLOCK``
+#: tiles, and the generator's mask, the writer and the reader strips of
+#: ``ROW_BLOCK`` rows. It bounds each temporary to a tile or a strip where a
+#: whole-matrix pass allocates n x n.
 ROW_BLOCK = 128
 
 #: Columns per block of ``QuadraticObjective.value_batch``. On 64 rows at
@@ -100,17 +102,22 @@ def _check_point(x, dimension: int) -> np.ndarray:
     return x
 
 
+def _upper_tiles(n: int):
+    """The ``ROW_BLOCK x ROW_BLOCK`` tiles on or above the diagonal of an
+    n x n matrix, as (rows, columns) slice pairs, strip by strip; the
+    mirror of a tile ``a[rows, cols]`` is ``a[cols, rows]``."""
+    for i in range(0, n, ROW_BLOCK):
+        rows = slice(i, i + ROW_BLOCK)
+        for k in range(i, n, ROW_BLOCK):
+            yield rows, slice(k, k + ROW_BLOCK)
+
+
 def _is_symmetric(a: np.ndarray) -> bool:
     """``np.array_equal(a, a.T)`` for a square a, NaN and signed zeros
-    alike, comparing each block of ``ROW_BLOCK`` rows of the upper
-    triangle with the columns of the lower one instead of the whole
-    transpose."""
-    n = a.shape[0]
-    for i in range(0, n, ROW_BLOCK):
-        j = i + ROW_BLOCK
-        if not (a[i:j, i:] == a[i:, i:j].T).all():
-            return False
-    return True
+    alike, comparing each tile on or above the diagonal with the transpose
+    of its mirror, so every read of the transpose stays within a tile."""
+    tiles = _upper_tiles(a.shape[0])
+    return all((a[rows, cols] == a[cols, rows].T).all() for rows, cols in tiles)
 
 
 def support_of(x: np.ndarray) -> np.ndarray:

@@ -24,10 +24,11 @@ The one other form it accepts is a dense ``"A"``, the form to write by
 hand, which goes through the objective's checked constructor.
 
 At large n the matrix is the one big array, so generation, the writer and
-the reader work on it in strips of ``oracle.ROW_BLOCK`` rows: the
-generator masks and symmetrizes the matrix in place, the writer scans only
-the upper triangle, strip by strip, and the reader mirrors it. None holds
-a second n x n array, and the writer holds no text of the whole document.
+the reader work on it in blocks of ``oracle.ROW_BLOCK``: the generator
+masks the matrix in place in strips of that many rows and symmetrizes it
+in square tiles of that edge, the writer scans only the upper triangle,
+strip by strip, and the reader mirrors it strip by strip. None holds a
+second n x n array, and the writer holds no text of the whole document.
 
 The reader checks the types of each parsed list at once, from the set of
 its element types: booleans, strings and nested lists are rejected where a
@@ -53,6 +54,7 @@ from .oracle import (
     QuadraticObjective,
     RngStream,
     _is_index,
+    _upper_tiles,
     draw_index,
 )
 from . import serialize
@@ -151,22 +153,23 @@ def _symmetric_masked_normal(rng: np.random.Generator, n: int, density: float) -
 
     The uniforms come ``ROW_BLOCK`` rows at a time, which consumes the
     stream exactly as one n x n draw does, and each block masks its rows in
-    place; a masked entry is ``N * 0.0``, a zero of N's sign. Then the
-    strip of rows i:j, past column i, takes ``0.5 * (upper + lower.T)``,
-    the same expression for every entry as the whole-matrix formula, and
-    writes it to both triangles: addition commutes, so the mirrored
-    entries keep their bits too.
+    place; a masked entry is ``N * 0.0``, a zero of N's sign. Then each
+    ``ROW_BLOCK x ROW_BLOCK`` tile on or above the diagonal takes
+    ``0.5 * (upper + lower.T)`` with its mirror, the same expression for
+    every entry as the whole-matrix formula, and writes it to both: addition
+    commutes, so the mirrored entries keep their bits too. A tile pair is
+    read before either is written, and no other tile touches it, so every
+    entry is computed from the masked draws.
     """
     a = rng.standard_normal((n, n))
     for i in range(0, n, ROW_BLOCK):
         rows = a[i:i + ROW_BLOCK]
         rows *= rng.random(rows.shape) < density
-    for i in range(0, n, ROW_BLOCK):
-        j = i + ROW_BLOCK
-        half = a[i:j, i:] + a[i:, i:j].T
+    for rows, cols in _upper_tiles(n):
+        half = a[rows, cols] + a[cols, rows].T
         half *= 0.5
-        a[i:j, i:] = half
-        a[i:, i:j] = half.T
+        a[rows, cols] = half
+        a[cols, rows] = half.T
     return a
 
 
@@ -184,12 +187,12 @@ def generate_instance(
 
     The matrix is the symmetric part of a density-masked standard normal
     matrix, built in place (``_symmetric_masked_normal``): the returned
-    matrix is the only n x n array generation holds, beside blocks of
-    ``ROW_BLOCK`` rows. It is finite and exactly symmetric by
-    construction, so the objective adopts it without the checked
-    constructor's copy and scan. Constraint directions are masked normals
-    stored sparsely. Each direction is shifted by a scalar offset so a
-    witness point drawn uniformly from the simplex satisfies every
+    matrix is the only n x n array generation holds, beside strips of
+    ``ROW_BLOCK`` rows and tiles of that edge. It is finite and exactly
+    symmetric by construction, so the objective adopts it without the
+    checked constructor's copy and scan. Constraint directions are masked
+    normals stored sparsely. Each direction is shifted by a scalar offset
+    so a witness point drawn uniformly from the simplex satisfies every
     constraint with slack ``margin``. The stored margin is the achieved
     slack ``-g(witness)``, which equals the requested one up to one
     rounding and makes the identity ``constraint value at witness ==
@@ -243,17 +246,23 @@ def _packed_upper(matrix: np.ndarray) -> dict:
     The upper triangle is scanned in strips of ``ROW_BLOCK`` rows, rows
     i:j past column i with the strip's square cut to its upper triangle,
     so no scan covers the lower half or holds more than a strip's indices.
+    A strip's mask is scanned once, for its flat indices in row-major
+    order, which split into the entries' rows and columns; the rows give
+    the counts and, with the columns, gather the values.
     """
     n = matrix.shape[0]
     parts = {key: [] for key in _PACKED_DTYPES}
     for i in range(0, n, ROW_BLOCK):
         strip = matrix[i:i + ROW_BLOCK, i:]
+        height, width = strip.shape
         nonzero = strip != 0
         square = nonzero[:, :ROW_BLOCK]
-        square &= _UPPER_SQUARE[:square.shape[0], :square.shape[1]]
-        parts["counts"].append(np.count_nonzero(nonzero, axis=1))
-        parts["indices"].append(nonzero.nonzero()[1].astype("<i4") + i)
-        parts["values"].append(strip[nonzero])
+        square &= _UPPER_SQUARE[:height, :square.shape[1]]
+        rows, cols = np.divmod(np.flatnonzero(nonzero), width)
+        parts["counts"].append(np.bincount(rows, minlength=height))
+        parts["values"].append(strip[rows, cols])
+        cols += i
+        parts["indices"].append(cols.astype("<i4"))
     # each blob's strips are dropped once joined, so no join holds two blobs' strips
     return {
         key: memoryview(np.concatenate(parts.pop(key)).astype(dtype, copy=False).view(np.uint8))

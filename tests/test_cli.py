@@ -8,8 +8,16 @@ import pytest
 from asmd import cli, problems
 from asmd.cli import main, run_benchmark
 from asmd.fixtures import LINEAR_N2, QUADRATIC_N3, fixture_path, load_fixture
-from asmd.oracle import QuadraticObjective
-from asmd.problems import generate_instance, load_problem, save_problem, uniform_subgradient_bound
+from asmd.oracle import MaxLinearConstraint, QuadraticObjective
+from asmd.problems import (
+    InstanceValidationError,
+    ProblemInstance,
+    generate_instance,
+    load_problem,
+    reference_optimum,
+    save_problem,
+    uniform_subgradient_bound,
+)
 from asmd.solver import (
     ADAPTIVE,
     FIXED,
@@ -453,6 +461,79 @@ class TestBenchmark:
         assert outs[0] == outs[1]
         capsys.readouterr()
 
+    def test_exact_cell_solves_once(self, monkeypatch):
+        # only a column draw reads a solve's stream, so an exact cell is one run
+        calls = []
+        for name in ("solve_adaptive", "solve_fixed"):
+            solve = getattr(cli, name)
+            monkeypatch.setattr(cli, name, lambda problem, config, solve=solve: (
+                calls.append((config.variant, problem.oracle_mode)) or solve(problem, config)))
+        seeds = 3
+        rows = run_benchmark(
+            load_fixture(QUADRATIC_N3), 0.05, seeds, [ADAPTIVE, FIXED], ["exact", "column"])
+        assert [row.seeds_run for row in rows] == [seeds] * 4
+        assert sorted(calls) == sorted(
+            [(ADAPTIVE, "exact"), (FIXED, "exact")] + [(ADAPTIVE, "column"), (FIXED, "column")] * seeds
+        )
+
+    def test_exact_cell_table_matches_separate_solves(self, monkeypatch, tmp_path, capsys):
+        def separate_solves(problem, variant, mode, epsilon, seeds, base_seed, fixed_m, jobs):
+            cell = dataclasses.replace(problem, oracle_mode=mode)
+            return [
+                cli._solve_dispatch(cell, SolverConfig(
+                    epsilon=epsilon,
+                    seed=base_seed + i,
+                    variant=variant,
+                    fixed_M=fixed_m if variant == FIXED else None,
+                    record_trace=False,
+                ))
+                for i in range(seeds)
+            ]
+
+        outs = []
+        for cell_runs in (cli._benchmark_cell_runs, separate_solves):
+            monkeypatch.setattr(cli, "_benchmark_cell_runs", cell_runs)
+            out = tmp_path / f"{len(outs)}.csv"
+            assert run_cli(
+                "benchmark", "--problem", fixture_path(QUADRATIC_N3), "--epsilon", 0.05,
+                "--seeds", 3, "--oracle-modes", "exact,column", "--out", out,
+            ) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+        capsys.readouterr()
+
+    def test_grid_that_misses_the_feasible_set_leaves_gaps_blank(self, tmp_path, capsys):
+        # x_0 must lie within 0.002 of 1/3, so the grid's 0.33 and 0.34 both miss
+        band = ProblemInstance(
+            name="band",
+            dimension=4,
+            objective=QuadraticObjective(np.eye(4)),
+            constraint=MaxLinearConstraint(
+                [([0], [1.0]), ([0], [-1.0])], [1 / 3 + 0.002, -1 / 3 + 0.002], 4),
+            geometry_kind="entropy",
+            oracle_mode="exact",
+            feasible_witness=[1 / 3, 2 / 9, 2 / 9, 2 / 9],
+            margin=0.002,
+        )
+        with pytest.raises(InstanceValidationError, match="no feasible grid point"):
+            reference_optimum(band)
+        path, out = tmp_path / "band.json", tmp_path / "bench.csv"
+        save_problem(band, path)
+        assert run_cli("benchmark", "--problem", path, "--epsilon", 0.05, "--seeds", 2,
+                       "--out", out) == 0
+        capsys.readouterr()
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["variant"] for row in rows] == [ADAPTIVE, FIXED]
+        for row in rows:
+            assert row["status"] == "ok"
+            assert row["mean_f_gap"] == row["stderr_f_gap"] == ""
+            blank = {"mean_f_gap", "stderr_f_gap"}
+            if row["variant"] == FIXED:
+                blank.add("within_bound")  # the fixed variant has no bound to meet
+            assert all(row[name] != "" for name in row if name not in blank)
+        lib = solve_adaptive(band, SolverConfig(epsilon=0.05, seed=0))
+        assert float(rows[0]["mean_N"]) == lib.N == 288
 
     def test_sweep_runs_untraced(self, monkeypatch):
         # n > 4 has no reference gaps, so an untraced sweep never evaluates f;

@@ -117,6 +117,15 @@ class TestQuadraticObjective:
         assert not q.symmetrized
         assert np.signbit(q.matrix[3, n - 1]) and not np.signbit(q.matrix[n - 1, 3])
 
+    def test_symmetry_check_reads_every_tile_of_a_strip(self):
+        # one asymmetric entry in the first block of rows, past its diagonal tile
+        n = 2 * ROW_BLOCK + 44
+        raw = np.random.default_rng(6).standard_normal((n, n))
+        matrix = raw + raw.T
+        matrix[3, ROW_BLOCK + 5] += 1e-9
+        assert not np.array_equal(matrix, matrix.T)
+        assert not _is_symmetric(matrix) and not _is_symmetric(matrix.T)
+
     @pytest.mark.parametrize("n", [1, 2, 3, 50])
     def test_gradient_on_support(self, n):
         rng = np.random.default_rng(n)

@@ -451,6 +451,17 @@ STREAMED_INSTANCES = [
 ]
 
 
+def triu_blobs(matrix):
+    """The three packed blobs of a symmetric matrix, built from the whole
+    upper triangle at once: the entries of ``np.nonzero(np.triu(matrix))``."""
+    rows, cols = np.nonzero(np.triu(matrix))
+    return {
+        "counts": np.bincount(rows, minlength=matrix.shape[0]).astype("<i4").tobytes(),
+        "indices": cols.astype("<i4").tobytes(),
+        "values": matrix[rows, cols].astype("<f8").tobytes(),
+    }
+
+
 class TestCompactFiles:
     """The ``packed`` form loses nothing a solve can see, and stays compact."""
 
@@ -495,14 +506,40 @@ class TestCompactFiles:
     def test_packed_blobs_hold_the_text_rows(self, n, seed):
         # the same entries, in the same order, as the rows of np.triu
         p = generate_instance(n, seed=seed)
-        rows, cols = np.nonzero(np.triu(p.objective.matrix))
-        expected = {
-            "counts": np.bincount(rows, minlength=n).astype("<i4").tobytes(),
-            "indices": cols.astype("<i4").tobytes(),
-            "values": p.objective.matrix[rows, cols].astype("<f8").tobytes(),
-        }
         packed = problem_to_document(p)["objective"]["packed"]
-        assert {key: bytes(blob) for key, blob in packed.items()} == expected
+        assert {key: bytes(blob) for key, blob in packed.items()} == triu_blobs(p.objective.matrix)
+
+    @pytest.mark.parametrize("n, strip", [(1, None), (2, None), (127, None), (128, None),
+                                          (129, None), (257, None), (257, "zero"), (257, "dense")])
+    def test_packed_blobs_at_strip_edges(self, n, strip, tmp_path):
+        # a symmetric matrix with zeros of both signs; "zero" empties the
+        # second strip of ROW_BLOCK rows, and "dense" leaves no zero in the first
+        rng = np.random.default_rng(n)
+        upper = np.triu(rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.3))
+        upper[(upper == 0) & (rng.random((n, n)) < 0.5)] = -0.0
+        matrix = upper + np.triu(upper, 1).T
+        if strip == "zero":
+            matrix[ROW_BLOCK:2 * ROW_BLOCK] = matrix[:, ROW_BLOCK:2 * ROW_BLOCK] = 0.0
+        if strip == "dense":
+            fill = 1.0 + np.arange(n)
+            matrix[:ROW_BLOCK], matrix[:, :ROW_BLOCK] = fill, fill[:, None]
+            matrix[:ROW_BLOCK, :ROW_BLOCK] = 2.0
+        assert np.array_equal(matrix, matrix.T)
+        p = ProblemInstance(
+            name="strips",
+            dimension=n,
+            objective=QuadraticObjective(matrix),
+            constraint=MaxLinearConstraint([([], [])], [1.0], n),
+            geometry_kind="euclidean",
+            oracle_mode="exact",
+            feasible_witness=np.full(n, 1.0 / n),
+            margin=1.0,
+        )
+        packed = problem_to_document(p)["objective"]["packed"]
+        assert {key: bytes(blob) for key, blob in packed.items()} == triu_blobs(matrix)
+        path = tmp_path / "instance.json"
+        save_problem(p, path)
+        assert load_problem(path).objective.matrix.tobytes() == (matrix + 0.0).tobytes()
 
     def test_text_forms_load_to_the_packed_bits(self, tmp_path):
         # the bundled quadratic in the dense text form, then a generated one as
@@ -595,11 +632,12 @@ def traced_peak(call):
 class TestPeakMemory:
     """Peaks at n = 2000 as multiples of the 8 n^2 bytes of the matrix.
 
-    Generation builds the matrix in place and peaks at about 1.15 times it
-    (the whole-matrix formula took 3.15). Writing peaks at 0.24 times it
-    over the live instance, in the packed arrays, since the document's text
-    is streamed to the file a chunk at a time (it held the whole text at
-    0.77). Loading peaks at 1.47, its result included. The write and load
+    Generation builds the matrix in place, masking it in strips of
+    ``ROW_BLOCK`` rows and symmetrizing it in tiles of that edge, and peaks
+    at about 1.09 times it (1.15 with strips; the whole-matrix formula took
+    3.15). Writing peaks at 0.24 times it over the live instance, in the
+    packed arrays, since the document's text is streamed to the file a
+    chunk at a time (it held the whole text at 0.77). Loading peaks at 1.47, its result included. The write and load
     bounds allow 10% more.
     """
 
