@@ -43,7 +43,7 @@ from .geometry import (
     interior_clamp,
     on_simplex,
 )
-from .oracle import QuadraticObjective, RngStream, draw_index
+from .oracle import QuadraticObjective, RngStream, _check_point, draw_index
 from .problems import ProblemInstance
 from .solver import IterationRecord, SolverConfig, mirror_descent_steps, solve_adaptive
 
@@ -135,7 +135,8 @@ def _as_distribution(x) -> np.ndarray:
     """Clip round-off negatives to zero, without renormalizing: callers
     scale their uniform draw by the total mass ``cdf[-1]`` instead, which
     must be normal: a subnormal ``u * cdf[-1]`` can round up to ``cdf[-1]``."""
-    x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        raise ValueError("point has non-finite coordinates")
     if (x < -FEASIBILITY_TOL).any():
         raise ValueError("point has negative coordinates beyond the feasibility tolerance")
     p = np.maximum(x, 0.0)
@@ -167,10 +168,10 @@ def unbiasedness_report(
     """
     if samples < 100:
         raise ValueError(f"need at least 100 samples, got {samples}")
-    x = np.asarray(x, dtype=float)
+    x = _check_point(x, objective.dimension)
     idx = draw_index(_as_distribution(x), rng, samples)
     counts = np.bincount(idx, minlength=objective.dimension).astype(float)
-    cols = objective.matrix
+    cols = np.stack([objective.column(j) for j in range(objective.dimension)], axis=1)
     mean = cols @ counts / samples
     var = ((cols - mean[:, None]) ** 2) @ counts / (samples - 1)
     stderr = np.sqrt(var / samples)

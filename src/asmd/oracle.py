@@ -5,10 +5,14 @@ Objectives come in two flavors. ``QuadraticObjective`` is the form
 probability given by the current simplex point is an unbiased estimate of
 that gradient at O(n) cost (the column oracle, drawn by
 ``ProblemInstance.objective_sample``). ``LinearObjective`` is ``<c, x>``
-with a constant gradient. A quadratic's ``value_batch``, the f-values of a
-traced run at a stack of iterates, reads only the upper block triangle of
-the symmetric matrix, in half the flops of the dense product; ``value``
-stays dense, the reference the batch is tested against.
+with a constant gradient. Beside values and gradients, the objective
+protocol is ``column(j)``, served only where there is a column oracle,
+and ``subgradient_bound(kind)``, a dual norm bound on every sample; only
+this module and the file writer know how an objective stores its data. A
+quadratic's ``value_batch``, the f-values of a traced run at a stack of
+iterates, reads only the upper block triangle of the symmetric matrix, in
+half the flops of the dense product; ``value`` stays dense, the reference
+the batch is tested against.
 
 ``MaxLinearConstraint`` is a pointwise maximum of affine forms evaluated
 exactly. Sparse directions plus scalar offsets are its stored and file
@@ -56,6 +60,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .geometry import DUAL_NORM_KERNELS
 
 #: Edge of the blocks of every pass over an n x n matrix: the symmetry check
 #: here and the generator's symmetrization take ``ROW_BLOCK x ROW_BLOCK``
@@ -216,6 +222,20 @@ class QuadraticObjective:
         """Exact gradient ``A x`` (O(n^2) dense)."""
         return self.gradient_unchecked(_check_point(x, self.dimension))
 
+    def column(self, j: int) -> np.ndarray:
+        """Column j of A: row j of the exactly symmetric matrix, a read-only view."""
+        return self.matrix[j]
+
+    def subgradient_bound(self, kind: str) -> float:
+        """The largest dual norm under the geometry ``kind`` of a column, and
+        so of an exact gradient, a convex combination of columns: the checked
+        rows stand in for the columns, so the norms run check-free."""
+        if kind == "entropy":
+            # the largest |A_ij| by two reductions, with no |A| temporary;
+            # adding 0.0 turns a -0.0 into the +0.0 the row kernel returns
+            return float(max(self.matrix.max(), -self.matrix.min())) + 0.0
+        return max(map(DUAL_NORM_KERNELS[kind], self.matrix))
+
     def gradient_unchecked(self, x: np.ndarray, support: np.ndarray | None = None) -> np.ndarray:
         """``gradient`` for a float vector of the right shape, unchecked.
 
@@ -259,6 +279,10 @@ class LinearObjective:
         """``gradient`` for a float vector of the right shape, unchecked: a
         constant gradient has no use for the support."""
         return self.coefficients
+
+    def subgradient_bound(self, kind: str) -> float:
+        """The dual norm of the constant gradient under the geometry ``kind``."""
+        return DUAL_NORM_KERNELS[kind](self.coefficients)
 
 
 class MaxLinearConstraint:

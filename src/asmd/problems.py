@@ -115,7 +115,7 @@ class ProblemInstance:
             raise InstanceValidationError(
                 f"witness has shape {self.feasible_witness.shape}, expected ({self.dimension},)"
             )
-        if self.oracle_mode == "column" and not isinstance(self.objective, QuadraticObjective):
+        if self.oracle_mode == "column" and not hasattr(self.objective, "column"):
             raise InstanceValidationError("column sampling needs a quadratic objective")
         if not math.isfinite(self.margin) or self.margin < 0:
             raise InstanceValidationError(f"margin must be a finite nonnegative real, got {self.margin}")
@@ -134,12 +134,12 @@ class ProblemInstance:
 
     def objective_sample(self, x, rng: RngStream, support: np.ndarray | None = None) -> np.ndarray:
         """The step's gradient sample at its own iterate x, unchecked: the
-        iterates are float vectors on the simplex by construction. A column
-        draw, or the objective's one exact read, ``gradient_unchecked(x,
-        support)``; a Euclidean step passes the support it scanned for its
-        constraint values, an entropy step none."""
+        iterates are float vectors on the simplex by construction. A
+        ``column`` at an index drawn from x, or the objective's one exact
+        read, ``gradient_unchecked(x, support)``; a Euclidean step passes the
+        support it scanned for its constraint values, an entropy step none."""
         if self.oracle_mode == "column":
-            return self.objective.matrix[draw_index(x, rng)]
+            return self.objective.column(draw_index(x, rng))
         return self.objective.gradient_unchecked(x, support)
 
     def constraint_value(self, x) -> float:
@@ -592,26 +592,10 @@ def reference_optimum(p: ProblemInstance, resolution: float | None = None) -> Re
 
 
 def uniform_subgradient_bound(p: ProblemInstance) -> float:
-    """Bound on the dual norm of every oracle sample over the simplex.
-
-    Objective samples are columns of the matrix or convex combinations of
-    them (the exact gradient), so the columnwise maximum covers both oracle
-    modes; constraint subgradients are among the dense directions. The
-    matrix is exactly symmetric, so its contiguous rows stand in for the
-    columns; the oracles checked every vector at construction, so the
-    norms run check-free. Under entropy the matrix's part, the largest
-    row's infinity norm, is its largest entry in absolute value.
-    """
+    """Bound on the dual norm of every oracle sample over the simplex. The
+    objective's part, ``subgradient_bound``, covers both oracle modes; the
+    constraint's subgradients are among its dense directions, checked at
+    construction, so their norms run check-free."""
     norm = DUAL_NORM_KERNELS[p.geometry_kind]
-    if isinstance(p.objective, QuadraticObjective):
-        matrix = p.objective.matrix
-        if p.geometry_kind == "entropy":
-            # the largest |A_ij| by two reductions, with no |A| temporary;
-            # adding 0.0 turns a -0.0 into the +0.0 the row kernel returns
-            obj = float(max(matrix.max(), -matrix.min())) + 0.0
-        else:
-            obj = max(norm(row) for row in matrix)
-    else:
-        obj = norm(p.objective.coefficients)
     con = max(norm(row) for row in p.constraint.directions)
-    return max(obj, con)
+    return max(p.objective.subgradient_bound(p.geometry_kind), con)

@@ -276,6 +276,22 @@ class TestColumnSampling:
         with pytest.raises(ValueError, match="negative coordinates"):
             unbiasedness_report(QuadraticObjective(np.eye(2)), [1.1, -0.1], 100, RngStream(8))
 
+    @pytest.mark.parametrize(
+        "x, message",
+        [
+            pytest.param([0.25] * 4, r"point has shape \(4,\), expected \(3,\)", id="length"),
+            pytest.param([0.5, 0.5, np.nan], "point has non-finite coordinates", id="nan"),
+        ],
+    )
+    def test_malformed_point_rejected_before_any_draw(self, x, message):
+        # refused before the draws: past them, a wrong length fails in the
+        # matmul, and a NaN, which passes the negativity check, makes the
+        # CDF scan return index n
+        rng = RngStream(10)
+        with pytest.raises(ValueError, match=message):
+            unbiasedness_report(QuadraticObjective(np.eye(3)), x, 100, rng)
+        assert rng.uniform() == RngStream(10).uniform()
+
     def test_all_zero_rejected(self):
         with pytest.raises(ValueError, match="zero or subnormal"):
             unbiasedness_report(QuadraticObjective(np.eye(3)), np.zeros(3), 100, RngStream(9))

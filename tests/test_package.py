@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import re
@@ -115,3 +116,42 @@ def test_fixtures_load_from_a_zipped_package(tmp_path):
     origin, dimensions = out.stdout.splitlines()
     assert origin.startswith(str(archive))
     assert dimensions == "3 2"
+
+
+def _scoped_nodes(node, scope=()):
+    """Every node below ``node``, with the names of the functions and
+    classes that enclose it."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = scope + (child.name,)
+        yield inner, child
+        yield from _scoped_nodes(child, inner)
+
+
+def test_only_the_oracle_and_the_writer_know_the_objective_storage():
+    # objectives serve column(j) and subgradient_bound(kind); a read of the
+    # quadratic's .matrix or a switch on the objective's type anywhere else
+    # would tie that module to the dense form a new objective need not have
+    objective_types = {"QuadraticObjective", "LinearObjective"}
+    package = Path(asmd.__file__).resolve().parent
+    sites = []
+    for path in sorted(package.rglob("*.py")):
+        module = path.relative_to(package).as_posix()
+        if module == "oracle.py":
+            continue
+        for scope, node in _scoped_nodes(ast.parse(path.read_text(encoding="utf-8"))):
+            reads_matrix = isinstance(node, ast.Attribute) and node.attr == "matrix"
+            switches = (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance"
+                and any(
+                    isinstance(name, ast.Name) and name.id in objective_types
+                    for arg in node.args[1:]
+                    for name in ast.walk(arg)
+                )
+            )
+            if (reads_matrix or switches) and (module, scope) != ("problems.py", ("problem_to_document",)):
+                sites.append(f"{module}:{node.lineno} {'.'.join(scope)}")
+    assert sites == []

@@ -192,10 +192,15 @@ class TestValidation:
                 margin=0.1,
             )
 
-    def test_column_mode_needs_quadratic(self):
-        p = tiny_linear_problem()
-        with pytest.raises(InstanceValidationError):
-            dataclasses.replace(p, oracle_mode="column")
+    def test_column_mode_needs_quadratic(self, linear_problem):
+        # built or loaded, a linear objective has no column to serve
+        for p in (tiny_linear_problem(), linear_problem):
+            with pytest.raises(InstanceValidationError, match="column sampling needs a quadratic"):
+                dataclasses.replace(p, oracle_mode="column")
+        doc = json.loads(fixture_path(LINEAR_N2).read_text(encoding="utf-8"))
+        doc["oracle"] = "column"
+        with pytest.raises(InstanceValidationError, match="column sampling needs a quadratic"):
+            problem_from_document(doc)
 
     def test_dimension_consistency(self):
         p = tiny_linear_problem()
