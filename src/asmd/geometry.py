@@ -33,6 +33,16 @@ keeps the sort and the arithmetic, and with them the bits of every
 projection, in fewer calls: the ranks 1..n are built once per dimension,
 the threshold index comes from one ``argmax``, and the result is clipped
 in place.
+
+At n = 50 a step costs numpy's per-call dispatch more than its arithmetic,
+so the kernels take numpy's cheaper entry points, with the same arithmetic
+and so the same bits: reductions go through the ufuncs' own ``reduce``
+(``np.maximum.reduce``, ``np.add.reduce``), which ``ndarray.max()`` and
+``.sum()`` reach only through Python wrappers; the entropy ``exp`` writes
+into the ``z - max z`` array it reads; and the projection reads its
+threshold scalars with ``item``, so that arithmetic runs on Python floats.
+``tests/test_kernels.py`` keeps the plain expressions as references and
+holds each kernel to their bytes.
 """
 
 from __future__ import annotations
@@ -51,6 +61,10 @@ FEASIBILITY_TOL = 1e-8
 #: Mixing weight pulling a point off the simplex boundary before logs are
 #: taken; small enough to stay below every test tolerance.
 INTERIOR_DELTA = 1e-15
+
+# the ufunc reductions behind ndarray.max() and .sum(), called directly
+_reduce_max = np.maximum.reduce
+_reduce_sum = np.add.reduce
 
 
 @dataclass(frozen=True)
@@ -108,7 +122,7 @@ def _norm_l2(g: np.ndarray) -> float:
 
 
 def _norm_linf(g: np.ndarray) -> float:
-    return float(np.abs(g).max())
+    return float(_reduce_max(np.abs(g)))
 
 
 @functools.lru_cache(maxsize=8)
@@ -134,11 +148,11 @@ def project_simplex(v) -> np.ndarray:
     css = u.cumsum()
     passing = u * _ranks(v.size) > css - 1.0
     rho = v.size - 1 - int(passing[::-1].argmax())
-    if not passing[rho]:
+    if not passing.item(rho):
         # past about 2**53, css_1 - 1 rounds back to u_1 and no index
         # passes; shifted by the max, the first index always does
         return project_simplex(v - u[0])
-    theta = (css[rho] - 1.0) / (rho + 1.0)
+    theta = (css.item(rho) - 1.0) / (rho + 1.0)
     w = v - theta
     np.maximum(w, 0.0, out=w)
     return w
@@ -150,8 +164,9 @@ def _log_weights(x: np.ndarray) -> np.ndarray:
 
 def _advance_entropy(z: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     z = z - y
-    w = np.exp(z - z.max())
-    w /= w.sum()
+    w = z - _reduce_max(z)
+    np.exp(w, out=w)
+    w /= _reduce_sum(w)
     return z, w
 
 

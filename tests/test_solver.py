@@ -649,6 +649,35 @@ class TestSolverConfig:
             with pytest.raises(ValueError):
                 SolverConfig(epsilon=0.1, variant=FIXED, fixed_M=bad)
 
+    @pytest.mark.parametrize(
+        "fields, match",
+        [
+            ({"seed": 1.5}, "seed"),
+            ({"seed": True}, "seed"),
+            ({"seed": -1}, "seed"),
+            ({"seed": 2**64}, "seed"),
+            ({"max_iterations": 2.5}, "max_iterations"),
+            ({"max_iterations": True}, "max_iterations"),
+            ({"epsilon": True}, "epsilon"),
+            ({"variant": FIXED, "fixed_M": True}, "fixed_M"),
+        ],
+        ids=["seed-real", "seed-bool", "seed-negative", "seed-2**64", "max_iterations-real",
+             "max_iterations-bool", "epsilon-bool", "fixed_M-bool"],
+    )
+    def test_integers_and_reals_checked_at_the_boundary(self, fields, match):
+        # each of these used to pass the config: a real seed or cap was
+        # truncated or rounded up by the step, a bool counted as 1, and a
+        # seed out of range failed only once the solve built its stream
+        with pytest.raises(ValueError, match=match):
+            SolverConfig(**{"epsilon": 0.1, **fields})
+
+    def test_numpy_integers_and_reals_accepted(self, quad_problem):
+        config = SolverConfig(epsilon=np.float64(0.2), seed=np.uint64(2**64 - 1),
+                              max_iterations=np.int64(5))
+        assert solve_adaptive(quad_problem, config).N <= 5
+        fixed = SolverConfig(epsilon=1, variant=FIXED, fixed_M=np.float32(2.0))
+        assert solve_fixed(quad_problem, fixed).stop_reason == CRITERION_MET
+
     def test_record_trace_off_keeps_result(self, quad_problem, monkeypatch):
         # trace rows take f from one value_batch call per block of
         # TRACE_BLOCK iterates; an untraced run evaluates the objective never
@@ -663,14 +692,16 @@ class TestSolverConfig:
         value = counting(value_calls, QuadraticObjective.value)
         monkeypatch.setattr(QuadraticObjective, "value", value)
         monkeypatch.setattr(QuadraticObjective, "value_batch", counted_batch)
-        on = solve_adaptive(quad_problem, SolverConfig(epsilon=0.05))
+        # three full blocks and a partial one of 19 rows
+        config = SolverConfig(epsilon=0.01, max_iterations=3 * TRACE_BLOCK + 19)
+        on = solve_adaptive(quad_problem, config)
         assert on.N > TRACE_BLOCK
         assert value_calls == []
         assert len(batch_rows) == math.ceil(on.N / TRACE_BLOCK)
         assert max(batch_rows) <= TRACE_BLOCK
         assert sum(batch_rows) == on.N
         batch_rows.clear()
-        off = solve_adaptive(quad_problem, SolverConfig(epsilon=0.05, record_trace=False))
+        off = solve_adaptive(quad_problem, dataclasses.replace(config, record_trace=False))
         assert value_calls == [] and batch_rows == []
         assert off.trace == []
         np.testing.assert_array_equal(on.x_bar, off.x_bar)
@@ -684,7 +715,9 @@ def _trace_block_runs():
     generated = generate_instance(40, m_count=6, density=0.2, seed=3, oracle="column")
     return {
         "short": (quad, SolverConfig(epsilon=0.2), 11),
-        "two-full-blocks": (quad, SolverConfig(epsilon=0.01, max_iterations=128), 128),
+        "two-full-blocks": (
+            quad, SolverConfig(epsilon=0.01, max_iterations=2 * TRACE_BLOCK), 2 * TRACE_BLOCK
+        ),
         "partial-last-block": (quad, SolverConfig(epsilon=0.05), 211),
         "fixed": (quad, fixed, 124),
         "linear": (load_fixture(LINEAR_N2), SolverConfig(epsilon=0.05), 1110),
