@@ -110,10 +110,10 @@ def on_simplex(x, tol: float = FEASIBILITY_TOL) -> bool:
     return bool(abs(float(x.sum()) - 1.0) <= tol and (x >= -tol).all())
 
 
-def interior_clamp(x, delta: float = INTERIOR_DELTA) -> np.ndarray:
-    """Mix toward the uniform point so every coordinate is at least delta."""
+def interior_clamp(x) -> np.ndarray:
+    """Mix toward the uniform point so every coordinate is at least ``INTERIOR_DELTA``."""
     x = np.asarray(x, dtype=float)
-    return (1.0 - x.size * delta) * x + delta
+    return (1.0 - x.size * INTERIOR_DELTA) * x + INTERIOR_DELTA
 
 
 def _norm_l2(g: np.ndarray) -> float:

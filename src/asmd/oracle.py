@@ -98,9 +98,18 @@ class RngStream:
         return self._gen.random(size=size)
 
 
+_REAL_TYPES = (int, float, np.integer, np.floating)
+_INDEX_TYPES = (int, np.integer)
+
+
 def _is_index(i) -> bool:
     """An integer, and not a bool, which Python counts as one."""
-    return isinstance(i, (int, np.integer)) and not isinstance(i, bool)
+    return isinstance(i, _INDEX_TYPES) and not isinstance(i, bool)
+
+
+def _is_real(v) -> bool:
+    """A real number, and not a bool, which Python counts as one."""
+    return isinstance(v, _REAL_TYPES) and not isinstance(v, bool)
 
 
 def _check_point(x, dimension: int) -> np.ndarray:

@@ -53,7 +53,10 @@ from .oracle import (
     MaxLinearConstraint,
     QuadraticObjective,
     RngStream,
+    _INDEX_TYPES,
+    _REAL_TYPES,
     _is_index,
+    _is_real,
     _upper_tiles,
     draw_index,
 )
@@ -181,7 +184,6 @@ def generate_instance(
     seed: int = 0,
     geometry: str = "entropy",
     oracle: str = "exact",
-    name: str | None = None,
 ) -> ProblemInstance:
     """Random quadratic-over-simplex instance with max-linear constraints.
 
@@ -219,10 +221,8 @@ def generate_instance(
     offsets = [float(np.dot(val, witness[idx])) + margin for idx, val in raw_terms]
     constraint = MaxLinearConstraint(raw_terms, offsets, n)
     achieved = -constraint.value(witness)
-    if name is None:
-        name = f"quad-simplex-n{n}-m{m_count}-seed{seed}"
     return ProblemInstance(
-        name=name,
+        name=f"quad-simplex-n{n}-m{m_count}-seed{seed}",
         dimension=n,
         objective=objective,
         constraint=constraint,
@@ -305,10 +305,6 @@ def _field(doc: dict, key: str, where: str = "document"):
     return doc[key]
 
 
-_REAL_TYPES = (int, float, np.integer, np.floating)
-_INDEX_TYPES = (int, np.integer)
-
-
 def _typed_array(values, where: str, dtype=float, nested: bool = False) -> np.ndarray:
     """A list (of lists, if ``nested``) or an array of reals, or of indices
     for ``dtype=np.int64``, as an array of ``dtype``.
@@ -334,7 +330,7 @@ def _typed_array(values, where: str, dtype=float, nested: bool = False) -> np.nd
 
 
 def _real(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, _REAL_TYPES):
+    if not _is_real(value):
         raise InstanceFormatError(f"field '{where}' must be a real, got {value!r}")
     return float(value)
 

@@ -46,16 +46,16 @@ adaptive step takes one square root of the running sum for both its
 stepsize and its stopping test, with the same expressions as
 ``checks.step_size`` and ``checks.stopping_criterion``.
 
-The step never evaluates the objective. A traced run computes the trace's
-f-values in blocks of ``TRACE_BLOCK`` (256) iterates with
-``value_batch``, which reads the quadratic's matrix once per block rather
-than once per row, and only its upper block triangle: the matrix is
-exactly symmetric, so the blocks below the diagonal add nothing the
-blocks above do not, and a block of rows costs half the dense product.
-Summed in another order, a block value may differ from
-``objective_value`` at the same point in its last digits, and past
-``VALUE_BLOCK`` coordinates the same row may take another last digit in a
-block of another size, since OpenBLAS's product of a stack of rows is not
+The step never evaluates the objective. A traced run copies each iterate
+into the next row of one preallocated ``(TRACE_BLOCK, n)`` block, and one
+``value_batch`` call per block computes the f-values; it reads the
+quadratic's matrix once per block rather than once per row, and only its
+upper block triangle: the matrix is exactly symmetric, so the blocks below
+the diagonal add nothing the blocks above do not, and a block of rows
+costs half the dense product. Summed in another order, a block value may
+differ from ``objective_value`` at the same point in its last digits, and
+past ``VALUE_BLOCK`` coordinates its last digits can depend on the row's
+position in its block, since OpenBLAS's product of a stack of rows is not
 always the stack of its parts' products bit for bit.
 
 A single solve is strictly sequential; concurrent solves are safe because
@@ -72,8 +72,8 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .geometry import DUAL_NORM_KERNELS, PROX_LOOPS, dgf_minimizer
-from .oracle import RngStream, _is_index, support_of
-from .problems import _REAL_TYPES, ProblemInstance
+from .oracle import RngStream, _is_index, _is_real, support_of
+from .problems import ProblemInstance
 
 ADAPTIVE = "adaptive"
 FIXED = "fixed"
@@ -82,17 +82,13 @@ VARIANTS = (ADAPTIVE, FIXED)
 CRITERION_MET = "criterion_met"
 CAP_REACHED = "cap_reached"
 
-#: Trace rows whose f-values one ``value_batch`` call computes: a traced run
-#: holds at most this many pending iterates, whatever its length, 4 MB at
-#: n = 2000. The f-values of a 484-row trace at n = 2000 took 37 ms in
-#: blocks of 256 and 44 ms in blocks of 64 (best of 7, one OpenBLAS thread,
-#: 2-core Xeon VM): each block reads the matrix once.
+#: Rows of the one block a traced run holds its pending iterates in, 3.9 MiB
+#: at n = 2000, whose f-values one ``value_batch`` call computes (their last
+#: digits can depend on a row's position past ``VALUE_BLOCK`` coordinates).
+#: The f-values of a 484-row trace at n = 2000 took 37 ms in blocks of 256
+#: and 44 ms in blocks of 64 (best of 7, one OpenBLAS thread, 2-core Xeon
+#: VM): each block reads the matrix once.
 TRACE_BLOCK = 256
-
-
-def _is_real(v) -> bool:
-    """A real number, and not a bool, which Python counts as one."""
-    return isinstance(v, _REAL_TYPES) and not isinstance(v, bool)
 
 
 class InfeasibleRunError(RuntimeError):
@@ -298,54 +294,48 @@ def mirror_descent_steps(problem: ProblemInstance, config: SolverConfig) -> Iter
         x = x_next
 
 
-def _trace_block(objective, rows: list[tuple], xs: list[np.ndarray]) -> list[IterationRecord]:
+def _trace_block(objective, rows: list[tuple], points: np.ndarray) -> list[IterationRecord]:
     """The pending trace rows as records, their f-values from one
-    ``value_batch`` call over the stacked iterates."""
-    f_values = objective.value_batch(np.stack(xs))
+    ``value_batch`` call over their iterates."""
+    f_values = objective.value_batch(points)
     return [IterationRecord(*row, float(f)) for row, f in zip(rows, f_values)]
 
 
 def _drive(problem: ProblemInstance, config: SolverConfig) -> RunResult:
     accum = np.zeros(problem.dimension)
-    n_total = 0
     n_productive = 0
-    sum_m_sq = 0.0
     m_max = 0.0
-    stop_reason = CAP_REACHED
     trace: list[IterationRecord] = []
-    # rows waiting for their f-value, and their iterates: references, since
-    # the step never writes to an iterate it has handed out
+    # rows waiting for their f-value; their iterates are the block's leading rows
     rows: list[tuple] = []
-    xs: list[np.ndarray] = []
+    if config.record_trace:
+        block = np.empty((TRACE_BLOCK, problem.dimension))
     for st in mirror_descent_steps(problem, config):
-        n_total = st.k
-        sum_m_sq = st.sum_M_sq
         m_max = max(m_max, st.M)
         if st.productive:
             accum += st.x
             n_productive += 1
         if config.record_trace:
+            block[len(rows)] = st.x
             rows.append((st.k, st.productive, st.M, st.h, st.g_value))
-            xs.append(st.x)
-            if len(xs) == TRACE_BLOCK:
-                trace += _trace_block(problem.objective, rows, xs)
-                rows, xs = [], []
-        if st.stopped:
-            stop_reason = CRITERION_MET
-    if xs:
-        trace += _trace_block(problem.objective, rows, xs)
+            if len(rows) == TRACE_BLOCK:
+                trace += _trace_block(problem.objective, rows, block)
+                rows = []
+    if rows:
+        trace += _trace_block(problem.objective, rows, block[: len(rows)])
+    # the loop yields at least one step, and the last one carries the tallies
     if n_productive == 0:
         raise InfeasibleRunError(
-            f"no productive iteration in {n_total} steps at epsilon={config.epsilon}; "
+            f"no productive iteration in {st.k} steps at epsilon={config.epsilon}; "
             "the averaged point is undefined"
         )
     return RunResult(
         x_bar=accum / n_productive,
-        N=n_total,
+        N=st.k,
         N_I=n_productive,
-        stop_reason=stop_reason,
+        stop_reason=CRITERION_MET if st.stopped else CAP_REACHED,
         trace=trace,
-        M_bar=math.sqrt(sum_m_sq / n_total),
+        M_bar=math.sqrt(st.sum_M_sq / st.k),
         M_max=m_max,
     )
 

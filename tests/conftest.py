@@ -1,4 +1,5 @@
 import base64
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -112,3 +113,20 @@ def packed_objective(**edits) -> dict:
     packed = {"counts": pack([1, 1], "<i4"), "indices": pack([0, 1], "<i4"),
               "values": pack([2.0, 3.0], "<f8")}
     return {"type": "quadratic", "packed": dict(packed, **edits)}
+
+
+def traced_peak(call):
+    """``call()`` and the peak of the allocations tracemalloc saw while it
+    ran, above those live before it; numpy reports its buffers to it."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        live, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        result = call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return result, peak - live

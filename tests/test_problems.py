@@ -3,7 +3,6 @@ import dataclasses
 import hashlib
 import json
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,6 +34,7 @@ from conftest import (
     dense_text_json,
     pack,
     packed_objective,
+    traced_peak,
 )
 
 
@@ -615,23 +615,6 @@ class TestCompactFiles:
         assert len(scans) == 1
         save_problem(load_problem(packed_path), again)
         assert again.read_bytes() == packed_path.read_bytes()
-
-
-def traced_peak(call):
-    """``call()`` and the peak of the allocations tracemalloc saw while it
-    ran, above those live before it; numpy reports its buffers to it."""
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        live, _ = tracemalloc.get_traced_memory()
-        tracemalloc.reset_peak()
-        result = call()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        if not tracing:
-            tracemalloc.stop()
-    return result, peak - live
 
 
 class TestPeakMemory:

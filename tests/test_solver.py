@@ -35,6 +35,8 @@ from asmd.solver import (
     worst_case_iterations,
 )
 
+from conftest import traced_peak
+
 
 def zero_gradient_problem():
     """Objective with identically zero gradient; always feasible."""
@@ -753,3 +755,20 @@ class TestTraceBlocks:
         assert (traced.N, traced.N_I, traced.M_bar, traced.M_max, traced.stop_reason) == (
             untraced.N, untraced.N_I, untraced.M_bar, untraced.M_max, untraced.stop_reason
         )
+
+
+class TestTracePeakMemory:
+    """A traced solve holds its pending iterates in one preallocated block.
+
+    On the n = 2000 column instance the solve peaks at about 2.9 blocks of
+    ``TRACE_BLOCK * n * 8`` bytes: the block itself, and ``value_batch``'s
+    product over it. Stacking a list of iterate references into a second
+    block read 3.9.
+    """
+
+    def test_one_block_of_pending_iterates(self):
+        problem = generate_instance(n=2000, m_count=10, density=0.1, seed=7, oracle="column")
+        config = SolverConfig(epsilon=0.5, seed=0)
+        result, peak = traced_peak(lambda: solve_adaptive(problem, config))
+        assert result.trace and len(result.trace) == result.N
+        assert peak <= 3.25 * TRACE_BLOCK * problem.dimension * 8
